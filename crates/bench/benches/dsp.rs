@@ -11,11 +11,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uw_dsp::coding::{conv_decode_two_thirds, conv_encode_two_thirds};
 use uw_dsp::complex::to_complex;
+use uw_dsp::complex::Complex32;
 use uw_dsp::correlation::xcorr_normalized;
 use uw_dsp::fft::{fft, fft_any};
 use uw_dsp::fixed::{ComplexQ15, FixedFftPlan, Q15MatchedFilter};
-use uw_dsp::float32::{Complex32, F32FftPlan, F32MatchedFilter};
 use uw_dsp::plan::FftPlan;
+use uw_dsp::MatchedFilter;
 use uw_ranging::channel_est::ls_channel_estimate;
 use uw_ranging::detect::{detect_preamble, DetectorConfig};
 use uw_ranging::preamble::RangingPreamble;
@@ -88,7 +89,7 @@ fn bench_fft(c: &mut Criterion) {
         .iter()
         .map(|&c| Complex32::from_complex64(c))
         .collect();
-    let mut f32_2048 = F32FftPlan::new(2048).unwrap();
+    let mut f32_2048 = FftPlan::<f32>::new(2048).unwrap();
     let mut fbuf2048 = pow2_f.clone();
     c.bench_function("f32_fft_radix2_2048", |b| {
         b.iter(|| {
@@ -96,7 +97,7 @@ fn bench_fft(c: &mut Criterion) {
             f32_2048.process_forward(&mut fbuf2048).unwrap()
         })
     });
-    let mut f32_1920 = F32FftPlan::new(1920).unwrap();
+    let mut f32_1920 = FftPlan::<f32>::new(1920).unwrap();
     let mut fbuf1920 = sym_f.clone();
     c.bench_function("f32_fft_bluestein_1920", |b| {
         b.iter(|| {
@@ -146,33 +147,14 @@ fn bench_detection(c: &mut Criterion) {
     });
 
     // The production phone path: the same 65k stream through the f32
-    // lane-kernel matched filter. This is the ISSUE's acceptance bench
-    // (`preamble_correlation_65k` < 1 ms); the f64 oracle leg stays in
-    // `preamble_correlation_65k_stream` above.
-    let f32_filter = F32MatchedFilter::new(&preamble.waveform).unwrap();
+    // instantiation of the lane-kernel matched filter; the f64 oracle leg
+    // stays in `preamble_correlation_65k_stream` above.
+    let f32_filter = MatchedFilter::<f32>::new(&preamble.waveform).unwrap();
     let mut f32_out: Vec<f64> = Vec::new();
     c.bench_function("preamble_correlation_65k", |b| {
         b.iter(|| {
             f32_filter
                 .correlate_normalized_into(&stream, &mut f32_out)
-                .unwrap()
-        })
-    });
-
-    // Batched multi-link correlation: 4 links' 65k captures through one
-    // plan invocation (what a serving-shard worker runs per round). The
-    // per-link cost should track the solo `_stream` bench: on cores whose
-    // L2 holds the template spectrum the column-major block walk keeps it
-    // cache-hot across links; on this container the f64 spectrum is ~1 MB,
-    // so the bench records a per-link tie rather than a win.
-    let links: Vec<&[f64]> = vec![&stream, &stream, &stream, &stream];
-    let mut batch_outs: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    c.bench_function("preamble_correlation_65k_batch4", |b| {
-        b.iter(|| {
-            preamble
-                .matched_filter()
-                .unwrap()
-                .correlate_normalized_batch_into(&links, &mut batch_outs)
                 .unwrap()
         })
     });

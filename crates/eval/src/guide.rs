@@ -398,10 +398,11 @@ pub fn generate_guide(report: &EvalReport) -> String {
          (`dock/5dev/clear/static/f32/s1`,\n\
          `dock/5dev/clear/static/q15/s1`) run the waveform DSP —\n\
          detection correlation and LS channel estimation — on the\n\
-         single-precision lane-kernel path in `uw_dsp::float32` or the\n\
-         on-device Q15 fixed-point path in `uw_dsp::fixed` instead of the\n\
-         `f64` oracle. Non-f64 cells must run at hybrid fidelity (the\n\
-         statistical model never touches the DSP); select the path via\n\
+         `f32` instantiation of the lane-kernel plan layer and matched\n\
+         filter (`uw_dsp::plan`, `uw_dsp::matched`) or the on-device Q15\n\
+         fixed-point path in `uw_dsp::fixed` instead of the `f64` oracle.\n\
+         Non-f64 cells must run at hybrid fidelity (the statistical model\n\
+         never touches the DSP); select the path via\n\
          `ScenarioMatrix::numeric_paths` or `SystemConfig::numeric_path`.\n\
          Run the pinned alternate-path cells alone with:\n\
          \n\

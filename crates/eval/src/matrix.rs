@@ -395,8 +395,8 @@ impl ScenarioMatrix {
 
     /// The single-precision cell: the dock 5-device testbed run end-to-end
     /// on the f32 lane-kernel DSP path at hybrid fidelity, so every
-    /// leader-link exchange exercises the `uw_dsp::float32` FFTs and
-    /// matched filter. f32 carries ~100 dB of SQNR through the correlator,
+    /// leader-link exchange exercises the `f32` instantiations of the
+    /// `uw_dsp` FFT plans and matched filter. f32 carries ~100 dB of SQNR through the correlator,
     /// so its acceptance band (relative to the f64 dock cell) is far
     /// tighter than Q15's; it is pinned by the differential harness in
     /// `crates/eval/tests/f32_cell_band.rs` and documented in the guide.

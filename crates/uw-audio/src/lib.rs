@@ -12,10 +12,10 @@
 //!   custom metadata chunks (the replay layer in `uw-eval` stores its
 //!   segment directory that way). Malformed or truncated files produce
 //!   [`AudioError`]s, never panics.
-//! * [`resample`] — linear and polyphase windowed-sinc resamplers for
-//!   bringing a recording at an arbitrary rate onto the pipeline's
-//!   44.1 kHz grid, including a streaming linear resampler whose phase
-//!   persists across blocks.
+//! * [`resample`] — a polyphase windowed-sinc resampler for bringing a
+//!   recording at an arbitrary rate onto the pipeline's 44.1 kHz grid, and
+//!   a streaming linear resampler whose phase persists across blocks (the
+//!   block-wise twin of the one-shot `uw_dsp::resample::resample`).
 //! * [`replay`] — [`replay::ReplaySource`]: a chunked decode-and-resample
 //!   stream over a `WavReader` that yields fixed-size per-channel `f64`
 //!   blocks at a target rate, ready to feed `uw-ranging`'s detection and
@@ -72,7 +72,7 @@ pub mod wav;
 pub use burst::{scan_all, Burst, BurstScanner};
 pub use manifest::{CampaignManifest, SegmentRange, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use replay::{ReplayBlock, ReplaySource};
-pub use resample::{resample_linear, SincResampler, StreamingLinearResampler};
+pub use resample::{SincResampler, StreamingLinearResampler};
 pub use skew::{estimate_skew_ppm, SKEW_DEADBAND_PPM, SKEW_MAX_PPM};
 pub use wav::{SampleFormat, WavReader, WavSpec, WavWriter};
 

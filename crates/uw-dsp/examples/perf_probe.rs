@@ -2,11 +2,10 @@
 //! to noisy-neighbour machines). Not part of the committed bench suite.
 
 use std::time::Instant;
-use uw_dsp::complex::Complex64;
+use uw_dsp::complex::{Complex, Complex64};
 use uw_dsp::fixed::{ComplexQ15, FixedRadix2Plan, Q15MatchedFilter};
-use uw_dsp::float32::{Complex32, F32MatchedFilter, F32Radix2Plan};
 use uw_dsp::plan::Radix2Plan;
-use uw_dsp::MatchedFilter;
+use uw_dsp::{LaneFloat, MatchedFilter};
 
 fn min_time<F: FnMut()>(mut f: F, reps: usize) -> f64 {
     let mut best = f64::INFINITY;
@@ -18,35 +17,44 @@ fn min_time<F: FnMut()>(mut f: F, reps: usize) -> f64 {
     best
 }
 
+/// SoA forward-FFT timings at several sizes on one float lane type.
+fn float_fft_soa<T: LaneFloat>(label: &str, sig: &[f64]) {
+    for sz in [2048usize, 16384, 32768, 65536] {
+        let plan = Radix2Plan::<T>::new(sz).unwrap();
+        let mut re: Vec<T> = sig[..sz].iter().map(|&x| T::from_f64(x)).collect();
+        let mut im = vec![T::ZERO; sz];
+        let t = min_time(
+            || {
+                plan.forward_soa(&mut re, &mut im).unwrap();
+            },
+            30,
+        );
+        println!("{label} fft {sz}: {:.1} us", t * 1e6);
+    }
+}
+
+/// Interleaved 2048-point forward FFT timing (includes the AoS<->SoA
+/// conversion) on one float lane type.
+fn float_fft_interleaved<T: LaneFloat>(label: &str, base: &[Complex64]) {
+    let plan = Radix2Plan::<T>::new(2048).unwrap();
+    let cast: Vec<Complex<T>> = base.iter().map(|&c| Complex::from_complex64(c)).collect();
+    let mut buf = cast.clone();
+    let t = min_time(
+        || {
+            buf.copy_from_slice(&cast);
+            plan.forward(&mut buf).unwrap();
+        },
+        50,
+    );
+    println!("{label} fft 2048 interleaved: {:.1} us", t * 1e6);
+}
+
 fn main() {
     let n = 65536usize;
     let sig: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 0.5).collect();
 
-    // f64 FFT 2048 and 65536
-    for sz in [2048usize, 16384, 32768, 65536] {
-        let plan = Radix2Plan::new(sz).unwrap();
-        let mut re: Vec<f64> = sig[..sz].to_vec();
-        let mut im = vec![0.0f64; sz];
-        let t = min_time(
-            || {
-                plan.forward_soa(&mut re, &mut im).unwrap();
-            },
-            30,
-        );
-        println!("f64 fft {sz}: {:.1} us", t * 1e6);
-    }
-    for sz in [2048usize, 16384, 32768, 65536] {
-        let plan = F32Radix2Plan::new(sz).unwrap();
-        let mut re: Vec<f32> = sig[..sz].iter().map(|&x| x as f32).collect();
-        let mut im = vec![0.0f32; sz];
-        let t = min_time(
-            || {
-                plan.forward_soa(&mut re, &mut im).unwrap();
-            },
-            30,
-        );
-        println!("f32 fft {sz}: {:.1} us", t * 1e6);
-    }
+    float_fft_soa::<f64>("f64", &sig);
+    float_fft_soa::<f32>("f32", &sig);
     for sz in [2048usize, 16384, 32768, 65536] {
         let plan = FixedRadix2Plan::new(sz).unwrap();
         let mut re: Vec<i32> = sig[..sz].iter().map(|&x| (x * 32767.0) as i32).collect();
@@ -61,28 +69,9 @@ fn main() {
     }
     // interleaved entry (includes AoS<->SoA conversion)
     {
-        let plan = Radix2Plan::new(2048).unwrap();
         let base: Vec<Complex64> = sig[..2048].iter().map(|&x| Complex64::from_re(x)).collect();
-        let mut buf = base.clone();
-        let t = min_time(
-            || {
-                buf.copy_from_slice(&base);
-                plan.forward(&mut buf).unwrap();
-            },
-            50,
-        );
-        println!("f64 fft 2048 interleaved: {:.1} us", t * 1e6);
-        let plan = F32Radix2Plan::new(2048).unwrap();
-        let basef: Vec<Complex32> = base.iter().map(|&c| Complex32::from_complex64(c)).collect();
-        let mut buff = basef.clone();
-        let t = min_time(
-            || {
-                buff.copy_from_slice(&basef);
-                plan.forward(&mut buff).unwrap();
-            },
-            50,
-        );
-        println!("f32 fft 2048 interleaved: {:.1} us", t * 1e6);
+        float_fft_interleaved::<f64>("f64", &base);
+        float_fft_interleaved::<f32>("f32", &base);
         let plan = FixedRadix2Plan::new(2048).unwrap();
         let baseq: Vec<ComplexQ15> = base
             .iter()
@@ -109,8 +98,8 @@ fn main() {
     for (i, &t) in template.iter().enumerate() {
         stream[5000 + i] += 0.5 * t;
     }
-    let f64f = MatchedFilter::new(&template).unwrap();
-    let f32f = F32MatchedFilter::new(&template).unwrap();
+    let f64f = MatchedFilter::<f64>::new(&template).unwrap();
+    let f32f = MatchedFilter::<f32>::new(&template).unwrap();
     let q15f = Q15MatchedFilter::new(&template).unwrap();
     let mut out = Vec::new();
     println!("mf fft_len = {}", f64f.block_len());

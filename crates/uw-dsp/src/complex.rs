@@ -4,37 +4,99 @@
 //! small set of complex operations the FFT, channel estimation and
 //! correlation code need: addition, subtraction, multiplication, conjugation,
 //! scaling, magnitude and `exp(i·θ)` construction.
+//!
+//! [`Complex`] is generic over the two float lane types ([`LaneFloat`]):
+//! [`Complex64`] is the double-precision oracle sample and [`Complex32`]
+//! the single-precision phone-DSP sample the f32 plans transform.
 
+use crate::lanes::LaneFloat;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A complex number with `f64` real and imaginary parts.
+/// A complex number with real and imaginary parts of one float type.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex64 {
+pub struct Complex<T> {
     /// Real part.
-    pub re: f64,
+    pub re: T,
     /// Imaginary part.
-    pub im: f64,
+    pub im: T,
 }
 
-impl Complex64 {
+/// A complex number with `f64` parts.
+pub type Complex64 = Complex<f64>;
+
+/// A complex number with `f32` parts.
+pub type Complex32 = Complex<f32>;
+
+impl<T: LaneFloat> Complex<T> {
     /// The additive identity (0 + 0i).
-    pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
-    /// The multiplicative identity (1 + 0i).
-    pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
-    /// The imaginary unit (0 + 1i).
-    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
+    pub const ZERO: Self = Self {
+        re: T::ZERO,
+        im: T::ZERO,
+    };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub const fn new(re: T, im: T) -> Self {
         Self { re, im }
     }
 
     /// Creates a purely real complex number.
     #[inline]
-    pub const fn from_re(re: f64) -> Self {
-        Self { re, im: 0.0 }
+    pub const fn from_re(re: T) -> Self {
+        Self { re, im: T::ZERO }
     }
+
+    /// Rounds a [`Complex64`] to this precision (the identity for `f64`).
+    #[inline]
+    pub fn from_complex64(c: Complex64) -> Self {
+        Self {
+            re: T::from_f64(c.re),
+            im: T::from_f64(c.im),
+        }
+    }
+
+    /// Widens to double precision (exact).
+    #[inline]
+    pub fn to_complex64(self) -> Complex64 {
+        Complex64::new(self.re.to_f64(), self.im.to_f64())
+    }
+
+    /// Complex conjugate.
+    #[inline]
+    pub fn conj(self) -> Self {
+        Self {
+            re: self.re,
+            im: -self.im,
+        }
+    }
+
+    /// Squared magnitude `re² + im²`.
+    #[inline]
+    pub fn norm_sqr(self) -> T {
+        self.re * self.re + self.im * self.im
+    }
+
+    /// Magnitude (absolute value).
+    #[inline]
+    pub fn abs(self) -> T {
+        self.norm_sqr().sqrt()
+    }
+
+    /// Multiplies by a real scalar.
+    #[inline]
+    pub fn scale(self, k: T) -> Self {
+        Self {
+            re: self.re * k,
+            im: self.im * k,
+        }
+    }
+}
+
+impl Complex64 {
+    /// The multiplicative identity (1 + 0i).
+    pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
+    /// The imaginary unit (0 + 1i).
+    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Returns `exp(i·theta)` — a unit phasor at angle `theta` radians.
     #[inline]
@@ -54,40 +116,10 @@ impl Complex64 {
         }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
-    /// Squared magnitude `re² + im²`.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
-    /// Magnitude (absolute value).
-    #[inline]
-    pub fn abs(self) -> f64 {
-        self.norm_sqr().sqrt()
-    }
-
     /// Argument (phase angle) in radians, in `(-π, π]`.
     #[inline]
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
-    }
-
-    /// Multiplies by a real scalar.
-    #[inline]
-    pub fn scale(self, k: f64) -> Self {
-        Self {
-            re: self.re * k,
-            im: self.im * k,
-        }
     }
 
     /// Multiplicative inverse. Returns `None` when the magnitude is zero.
@@ -111,8 +143,8 @@ impl Complex64 {
     }
 }
 
-impl Add for Complex64 {
-    type Output = Complex64;
+impl<T: LaneFloat> Add for Complex<T> {
+    type Output = Self;
     #[inline]
     fn add(self, rhs: Self) -> Self {
         Self {
@@ -122,7 +154,7 @@ impl Add for Complex64 {
     }
 }
 
-impl AddAssign for Complex64 {
+impl<T: LaneFloat> AddAssign for Complex<T> {
     #[inline]
     fn add_assign(&mut self, rhs: Self) {
         self.re += rhs.re;
@@ -130,8 +162,8 @@ impl AddAssign for Complex64 {
     }
 }
 
-impl Sub for Complex64 {
-    type Output = Complex64;
+impl<T: LaneFloat> Sub for Complex<T> {
+    type Output = Self;
     #[inline]
     fn sub(self, rhs: Self) -> Self {
         Self {
@@ -141,7 +173,7 @@ impl Sub for Complex64 {
     }
 }
 
-impl SubAssign for Complex64 {
+impl<T: LaneFloat> SubAssign for Complex<T> {
     #[inline]
     fn sub_assign(&mut self, rhs: Self) {
         self.re -= rhs.re;
@@ -149,8 +181,8 @@ impl SubAssign for Complex64 {
     }
 }
 
-impl Mul for Complex64 {
-    type Output = Complex64;
+impl<T: LaneFloat> Mul for Complex<T> {
+    type Output = Self;
     #[inline]
     fn mul(self, rhs: Self) -> Self {
         Self {
@@ -160,25 +192,25 @@ impl Mul for Complex64 {
     }
 }
 
-impl MulAssign for Complex64 {
+impl<T: LaneFloat> MulAssign for Complex<T> {
     #[inline]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
 }
 
-impl Mul<f64> for Complex64 {
-    type Output = Complex64;
+impl<T: LaneFloat> Mul<T> for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn mul(self, rhs: f64) -> Self {
+    fn mul(self, rhs: T) -> Self {
         self.scale(rhs)
     }
 }
 
-impl Div for Complex64 {
-    type Output = Complex64;
+impl<T: LaneFloat> Div for Complex<T> {
+    type Output = Self;
     /// Complex division. Division by zero yields NaN components, matching
-    /// `f64` semantics.
+    /// IEEE float semantics.
     #[inline]
     fn div(self, rhs: Self) -> Self {
         let d = rhs.norm_sqr();
@@ -189,10 +221,10 @@ impl Div for Complex64 {
     }
 }
 
-impl Div<f64> for Complex64 {
-    type Output = Complex64;
+impl<T: LaneFloat> Div<T> for Complex<T> {
+    type Output = Self;
     #[inline]
-    fn div(self, rhs: f64) -> Self {
+    fn div(self, rhs: T) -> Self {
         Self {
             re: self.re / rhs,
             im: self.im / rhs,
@@ -200,8 +232,8 @@ impl Div<f64> for Complex64 {
     }
 }
 
-impl Neg for Complex64 {
-    type Output = Complex64;
+impl<T: LaneFloat> Neg for Complex<T> {
+    type Output = Self;
     #[inline]
     fn neg(self) -> Self {
         Self {
@@ -211,9 +243,9 @@ impl Neg for Complex64 {
     }
 }
 
-impl From<f64> for Complex64 {
+impl<T: LaneFloat> From<T> for Complex<T> {
     #[inline]
-    fn from(re: f64) -> Self {
+    fn from(re: T) -> Self {
         Self::from_re(re)
     }
 }

@@ -21,8 +21,9 @@
 //!   [`crate::matched::MatchedFilter`], with the template spectrum held in
 //!   Q15 and every butterfly/multiply in integer arithmetic.
 //! * [`NumericPath`] — the knob higher layers thread through to select
-//!   between the `f64` oracle, the f32 phone-float path
-//!   ([`crate::float32`]) and this fixed-point path.
+//!   between the `f64` oracle, the f32 phone-float path (the `f32`
+//!   instantiations of [`crate::plan`] and [`crate::matched`]) and this
+//!   fixed-point path.
 //!
 //! ## Scaling strategy (block floating point)
 //!
@@ -70,8 +71,10 @@ pub enum NumericPath {
     /// The double-precision reference path (the repository's oracle).
     #[default]
     F64,
-    /// The single-precision float path ([`crate::float32`]) — what phone
-    /// DSP runs when not in fixed point, with twice the SIMD lanes of f64.
+    /// The single-precision float path (the `f32` instantiations of
+    /// [`crate::plan::FftPlan`] and [`crate::matched::MatchedFilter`]) —
+    /// what phone DSP runs when not in fixed point, with twice the SIMD
+    /// lanes of f64.
     F32,
     /// The on-device Q15 fixed-point path in this module.
     Q15,
@@ -856,7 +859,9 @@ struct FixedScratch {
 }
 
 /// A precomputed Q15 overlap-save matched filter for one fixed template,
-/// mirroring [`crate::matched::MatchedFilter`].
+/// with the API of [`crate::matched::MatchedFilter`] but a complex-FFT
+/// block (no real-input packing) of `next_pow2(4 · template_len)`, at least
+/// 1024 samples.
 ///
 /// The template is quantised to Q15 by its peak, its conjugated spectrum is
 /// stored as Q15 with a block-floating-point scale, and every per-block
@@ -1005,52 +1010,6 @@ impl Q15MatchedFilter {
         Ok(out)
     }
 
-    /// Batched normalised correlation of N links' captures through one
-    /// filter checkout, mirroring
-    /// [`crate::matched::MatchedFilter::correlate_normalized_batch`]. Each
-    /// output is identical to the per-link call (per-link AGC gain is
-    /// preserved).
-    pub fn correlate_normalized_batch(&self, signals: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        let mut outs: Vec<Vec<f64>> = signals.iter().map(|_| Vec::new()).collect();
-        self.correlate_normalized_batch_into(signals, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// Batched normalised correlation into caller buffers. `outs` must have
-    /// one slot per signal.
-    pub fn correlate_normalized_batch_into(
-        &self,
-        signals: &[&[f64]],
-        outs: &mut [Vec<f64>],
-    ) -> Result<()> {
-        if signals.len() != outs.len() {
-            return Err(DspError::InvalidLength {
-                reason: "batched correlation needs one output slot per signal",
-            });
-        }
-        // Validate first; output lengths are recomputed in the loop below
-        // instead of staged in a side vector, keeping the steady state
-        // allocation-free.
-        for signal in signals {
-            if signal.is_empty() {
-                return Err(DspError::InvalidLength {
-                    reason: "correlation inputs must be non-empty",
-                });
-            }
-            self.output_len(signal.len())?;
-        }
-        let mut scratch = self.acquire();
-        let result = (|| {
-            for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                let n_out = signal.len() - self.template_len + 1;
-                self.run_with_scratch(signal, out, true, n_out, &mut scratch)?;
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
-    }
-
     fn run(&self, signal: &[f64], out: &mut Vec<f64>, normalize: bool) -> Result<()> {
         if signal.is_empty() {
             return Err(DspError::InvalidLength {
@@ -1098,8 +1057,8 @@ impl Q15MatchedFilter {
             }
         }
 
-        // Overlap-save, exactly as the f64 filter: block `p` covers
-        // signal[p .. p+L); valid on the first L − m + 1 lags.
+        // Overlap-save: block `p` covers signal[p .. p+L); valid on the
+        // first L − m + 1 lags.
         let re = &mut scratch.block_re;
         let im = &mut scratch.block_im;
         let qsig = &scratch.qsig;
@@ -1421,34 +1380,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(max_err < 0.12, "max normalised-corr error {max_err}");
-    }
-
-    #[test]
-    fn q15_batched_correlation_matches_per_link_calls() {
-        let template: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.41).sin()).collect();
-        let filter = Q15MatchedFilter::new(&template).unwrap();
-        let embed = |offset: usize, total: usize, level: f64| -> Vec<f64> {
-            let mut s: Vec<f64> = (0..total)
-                .map(|i| 0.02 * ((i as f64) * 0.377).sin())
-                .collect();
-            for (i, &t) in template.iter().enumerate() {
-                s[offset + i] += level * t;
-            }
-            s
-        };
-        let sig_a = embed(57, 900, 0.9);
-        let sig_b = embed(700, 2600, 0.4); // different per-link AGC gain
-        let signals: Vec<&[f64]> = vec![&sig_a, &sig_b];
-        let batched = filter.correlate_normalized_batch(&signals).unwrap();
-        for (signal, got) in signals.iter().zip(batched.iter()) {
-            let solo = filter.correlate_normalized(signal).unwrap();
-            assert_eq!(&solo, got);
-        }
-        assert!(filter.correlate_normalized_batch(&[]).unwrap().is_empty());
-        let good = vec![0.5; 600];
-        assert!(filter
-            .correlate_normalized_batch(&[&good, &[1.0, 2.0]])
-            .is_err());
     }
 
     #[test]

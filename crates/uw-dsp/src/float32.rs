@@ -1,1209 +1,19 @@
-//! Single-precision (f32) numeric path for the ranging hot loop.
+//! Unit tests of the `f32` instantiation of the float DSP stack.
 //!
-//! Phone DSPs and mobile NEON pipelines run float audio work in `f32`:
-//! half the memory traffic of `f64` and **twice the SIMD lanes per
-//! register** (`[f32; 8]` vs `[f64; 4]` in one AVX2/dual-NEON register).
-//! This module provides that path as a structural mirror of the `f64`
-//! plan layer ([`crate::plan`]) and matched filter ([`crate::matched`]):
-//!
-//! * [`Complex32`] — the single-precision complex sample.
-//! * [`F32Radix2Plan`] / [`F32FftPlan`] / [`F32PlanPool`] — table-driven
-//!   radix-2 and Bluestein plans with structure-of-arrays twiddle tables,
-//!   executed through the `[f32; 8]` lane kernels in [`crate::lanes`].
-//! * [`F32MatchedFilter`] — the overlap-save correlator, `f64` at the API
-//!   boundary (signals arrive from the capture layer as `f64`), `f32` SoA
-//!   inside, including the multi-link batched entry point.
-//!
-//! ## Precision contract
-//!
-//! All twiddle, chirp, and chirp-spectrum tables are computed in `f64` and
-//! rounded to `f32` once, so table error is ½ ULP rather than accumulated.
-//! The differential harness (`tests/fixed_vs_float.rs`) pins this path
-//! against the `f64` oracle: ≥ 100 dB SQNR for radix-2 forward transforms,
-//! ≥ 95 dB for round-trips, ≥ 85 dB for Bluestein at the paper's symbol
-//! length, and matched-filter peak position within ±1 sample — inside the
-//! acoustic SNR budget. Wall-clock, the 65k detection-stream correlation
-//! runs ~6× faster than the f64 matched filter (~0.5 ms vs ~3.2 ms in
-//! `BENCH_pipeline.json`): half-width samples double the lanes, and the
-//! real-input half-length transform halves the FFT work again.
-//!
-//! Normalised correlation divides by sliding window energies accumulated
-//! as `f64` prefix sums **of the f32-cast samples**, so numerator and
-//! denominator see the same quantisation — the same policy the Q15 path
-//! uses ([`crate::fixed::Q15MatchedFilter`]).
-//!
-//! Like the other paths, the scalar reference transforms are retained
-//! ([`F32Radix2Plan::forward_scalar`]) and the lane path is pinned
-//! bit-identical to them.
-
-use crate::complex::Complex64;
-use crate::fft::{is_pow2, next_pow2};
-use crate::lanes;
-use crate::{DspError, Result};
-use std::sync::Mutex;
-
-/// A single-precision complex number (mirror of [`Complex64`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex32 {
-    /// Real part.
-    pub re: f32,
-    /// Imaginary part.
-    pub im: f32,
-}
-
-impl Complex32 {
-    /// The additive identity.
-    pub const ZERO: Complex32 = Complex32 { re: 0.0, im: 0.0 };
-
-    /// Creates a complex number from parts.
-    #[inline]
-    pub fn new(re: f32, im: f32) -> Self {
-        Self { re, im }
-    }
-
-    /// Creates a purely real complex number.
-    #[inline]
-    pub fn from_re(re: f32) -> Self {
-        Self { re, im: 0.0 }
-    }
-
-    /// Rounds a [`Complex64`] to single precision.
-    #[inline]
-    pub fn from_complex64(c: Complex64) -> Self {
-        Self {
-            re: c.re as f32,
-            im: c.im as f32,
-        }
-    }
-
-    /// Widens back to double precision.
-    #[inline]
-    pub fn to_complex64(self) -> Complex64 {
-        Complex64::new(self.re as f64, self.im as f64)
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
-    /// Squared magnitude.
-    #[inline]
-    pub fn norm_sqr(self) -> f32 {
-        self.re * self.re + self.im * self.im
-    }
-
-    /// Magnitude.
-    #[inline]
-    pub fn abs(self) -> f32 {
-        self.norm_sqr().sqrt()
-    }
-}
-
-impl std::ops::Add for Complex32 {
-    type Output = Complex32;
-    #[inline]
-    fn add(self, rhs: Complex32) -> Complex32 {
-        Complex32::new(self.re + rhs.re, self.im + rhs.im)
-    }
-}
-
-impl std::ops::Sub for Complex32 {
-    type Output = Complex32;
-    #[inline]
-    fn sub(self, rhs: Complex32) -> Complex32 {
-        Complex32::new(self.re - rhs.re, self.im - rhs.im)
-    }
-}
-
-impl std::ops::Mul for Complex32 {
-    type Output = Complex32;
-    #[inline]
-    fn mul(self, rhs: Complex32) -> Complex32 {
-        Complex32::new(
-            self.re * rhs.re - self.im * rhs.im,
-            self.re * rhs.im + self.im * rhs.re,
-        )
-    }
-}
-
-impl std::ops::Mul<f32> for Complex32 {
-    type Output = Complex32;
-    #[inline]
-    fn mul(self, rhs: f32) -> Complex32 {
-        Complex32::new(self.re * rhs, self.im * rhs)
-    }
-}
-
-/// Reusable SoA buffers for the interleaved entry points.
-#[derive(Debug, Default)]
-struct F32SoaScratch {
-    re: Vec<f32>,
-    im: Vec<f32>,
-}
-
-/// A radix-2 decimation-in-time FFT in single precision with precomputed
-/// bit-reversal and SoA twiddle tables (rounded once from `f64`), executed
-/// through the `[f32; 8]` lane kernels in [`crate::lanes`]. Structural
-/// mirror of [`crate::plan::Radix2Plan`].
-pub struct F32Radix2Plan {
-    n: usize,
-    bitrev: Vec<u32>,
-    tw_re_fwd: Vec<f32>,
-    tw_im_fwd: Vec<f32>,
-    tw_re_inv: Vec<f32>,
-    tw_im_inv: Vec<f32>,
-    scratch: Mutex<Vec<F32SoaScratch>>,
-}
-
-impl std::fmt::Debug for F32Radix2Plan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("F32Radix2Plan").field("n", &self.n).finish()
-    }
-}
-
-impl Clone for F32Radix2Plan {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            bitrev: self.bitrev.clone(),
-            tw_re_fwd: self.tw_re_fwd.clone(),
-            tw_im_fwd: self.tw_im_fwd.clone(),
-            tw_re_inv: self.tw_re_inv.clone(),
-            tw_im_inv: self.tw_im_inv.clone(),
-            scratch: Mutex::new(vec![F32SoaScratch {
-                re: vec![0.0; self.n],
-                im: vec![0.0; self.n],
-            }]),
-        }
-    }
-}
-
-impl F32Radix2Plan {
-    /// Builds a plan for a power-of-two length `n ≥ 1`.
-    pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
-        }
-        if !is_pow2(n) {
-            return Err(DspError::InvalidLength {
-                reason: "radix-2 plan length must be a power of two",
-            });
-        }
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n)
-            .map(|i| {
-                if n == 1 {
-                    0
-                } else {
-                    (i.reverse_bits() >> (usize::BITS - bits)) as u32
-                }
-            })
-            .collect();
-        let mut tw_re_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_im_fwd = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_re_inv = Vec::with_capacity(n.saturating_sub(1));
-        let mut tw_im_inv = Vec::with_capacity(n.saturating_sub(1));
-        let mut half = 1usize;
-        while half < n {
-            let ang = std::f64::consts::PI / half as f64;
-            for k in 0..half {
-                // Computed in f64, rounded to f32 once: ½ ULP table error.
-                let w = Complex64::from_angle(-ang * k as f64);
-                tw_re_fwd.push(w.re as f32);
-                tw_im_fwd.push(w.im as f32);
-                tw_re_inv.push(w.re as f32);
-                tw_im_inv.push(-w.im as f32);
-            }
-            half <<= 1;
-        }
-        Ok(Self {
-            n,
-            bitrev,
-            tw_re_fwd,
-            tw_im_fwd,
-            tw_re_inv,
-            tw_im_inv,
-            scratch: Mutex::new(vec![F32SoaScratch {
-                re: vec![0.0; n],
-                im: vec![0.0; n],
-            }]),
-        })
-    }
-
-    /// Transform length.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Returns true for the degenerate length-0 plan (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// In-place forward FFT (unnormalised). Allocation-free in steady state.
-    pub fn forward(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        self.with_scratch(|re, im| {
-            for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let c = data[self.bitrev[i] as usize];
-                *r = c.re;
-                *x = c.im;
-            }
-            self.stages(re, im, true);
-            for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex32::new(*r, *x);
-            }
-        });
-        Ok(())
-    }
-
-    /// In-place inverse FFT (normalised by 1/N). Allocation-free in steady
-    /// state.
-    pub fn inverse(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        let scale = 1.0 / self.n as f32;
-        self.with_scratch(|re, im| {
-            for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let c = data[self.bitrev[i] as usize];
-                *r = c.re;
-                *x = c.im;
-            }
-            self.stages(re, im, false);
-            lanes::scale_f32(re, im, scale);
-            for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex32::new(*r, *x);
-            }
-        });
-        Ok(())
-    }
-
-    /// In-place forward FFT on split real/imaginary buffers (unnormalised).
-    /// The native SoA entry point: no interleaving, allocation-free.
-    pub fn forward_soa(&self, re: &mut [f32], im: &mut [f32]) -> Result<()> {
-        self.check_soa(re, im)?;
-        self.permute_soa(re, im);
-        self.stages(re, im, true);
-        Ok(())
-    }
-
-    /// In-place inverse FFT on split real/imaginary buffers (normalised by
-    /// 1/N). Allocation-free.
-    pub fn inverse_soa(&self, re: &mut [f32], im: &mut [f32]) -> Result<()> {
-        self.inverse_soa_unscaled(re, im)?;
-        lanes::scale_f32(re, im, 1.0 / self.n as f32);
-        Ok(())
-    }
-
-    /// In-place inverse FFT on split real/imaginary buffers **without** the
-    /// 1/N normalisation pass. Callers that already fold the scale into a
-    /// precomputed spectrum (the overlap-save matched filter folds it into
-    /// the template) skip two full memory sweeps per call this way.
-    pub fn inverse_soa_unscaled(&self, re: &mut [f32], im: &mut [f32]) -> Result<()> {
-        self.check_soa(re, im)?;
-        self.permute_soa(re, im);
-        self.stages(re, im, false);
-        Ok(())
-    }
-
-    /// The retired one-lane-per-sample forward transform, kept as the
-    /// reference the differential harness pins the lane kernels against
-    /// (bit-identical output required).
-    pub fn forward_scalar(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        self.transform_scalar(data, true);
-        Ok(())
-    }
-
-    /// The retired one-lane-per-sample inverse transform (normalised by
-    /// 1/N); reference twin of [`F32Radix2Plan::inverse`].
-    pub fn inverse_scalar(&self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data.len())?;
-        self.transform_scalar(data, false);
-        let scale = 1.0 / self.n as f32;
-        for x in data.iter_mut() {
-            *x = *x * scale;
-        }
-        Ok(())
-    }
-
-    fn check(&self, len: usize) -> Result<()> {
-        if len != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn check_soa(&self, re: &[f32], im: &[f32]) -> Result<()> {
-        if re.len() != self.n || im.len() != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut [f32], &mut [f32]) -> R) -> R {
-        let mut buf = self
-            .scratch
-            .lock()
-            .expect("f32 radix-2 scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        buf.re.resize(self.n, 0.0);
-        buf.im.resize(self.n, 0.0);
-        let result = f(&mut buf.re, &mut buf.im);
-        self.scratch
-            .lock()
-            .expect("f32 radix-2 scratch pool poisoned")
-            .push(buf);
-        result
-    }
-
-    fn permute_soa(&self, re: &mut [f32], im: &mut [f32]) {
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-    }
-
-    fn stages(&self, re: &mut [f32], im: &mut [f32], forward: bool) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        let (twr, twi) = if forward {
-            (&self.tw_re_fwd, &self.tw_im_fwd)
-        } else {
-            (&self.tw_re_inv, &self.tw_im_inv)
-        };
-        let mut half = 1usize;
-        if n >= 8 {
-            // Stages half=1,2,4 fused into one sweep of closed 8-point
-            // cells (see `butterfly_f32_first3`).
-            lanes::butterfly_f32_first3(re, im, &twr[0..7], &twi[0..7]);
-            half = 8;
-        }
-        while half < n {
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
-            if half < lanes::F32_LANES {
-                // Tiny transforms (n < 8) never reach the fused pass; run
-                // the whole sub-lane stage in one flat kernel pass.
-                lanes::butterfly_f32_small(re, im, swr, swi);
-                half <<= 1;
-            } else if half * 2 < n {
-                // Two more stages exist: fuse this stage with the next one
-                // into a single radix-4-cell sweep.
-                let nwr = &twr[2 * half - 1..4 * half - 1];
-                let nwi = &twi[2 * half - 1..4 * half - 1];
-                lanes::butterfly_f32_pair(re, im, swr, swi, nwr, nwi);
-                half <<= 2;
-            } else {
-                let mut start = 0usize;
-                while start < n {
-                    let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
-                    let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                    lanes::butterfly_f32(e_re, e_im, o_re, o_im, swr, swi);
-                    start += half << 1;
-                }
-                half <<= 1;
-            }
-        }
-    }
-
-    fn transform_scalar(&self, data: &mut [Complex32], forward: bool) {
-        let n = self.n;
-        if n == 1 {
-            return;
-        }
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-        let (twr, twi) = if forward {
-            (&self.tw_re_fwd, &self.tw_im_fwd)
-        } else {
-            (&self.tw_re_inv, &self.tw_im_inv)
-        };
-        let mut half = 1usize;
-        while half < n {
-            let swr = &twr[half - 1..2 * half - 1];
-            let swi = &twi[half - 1..2 * half - 1];
-            let mut start = 0usize;
-            while start < n {
-                for k in 0..half {
-                    let even = data[start + k];
-                    let odd = data[start + k + half];
-                    let pr = odd.re * swr[k] - odd.im * swi[k];
-                    let pi = odd.re * swi[k] + odd.im * swr[k];
-                    data[start + k] = Complex32::new(even.re + pr, even.im + pi);
-                    data[start + k + half] = Complex32::new(even.re - pr, even.im - pi);
-                }
-                start += half << 1;
-            }
-            half <<= 1;
-        }
-    }
-}
-
-/// Bluestein (chirp-z) state for one non-power-of-two length in single
-/// precision (tables precomputed in `f64`, rounded once).
-#[derive(Debug, Clone)]
-struct F32BluesteinPlan {
-    inner: F32Radix2Plan,
-    chirp_re: Vec<f32>,
-    chirp_im: Vec<f32>,
-    spec_re: Vec<f32>,
-    spec_im: Vec<f32>,
-    scratch_re: Vec<f32>,
-    scratch_im: Vec<f32>,
-}
-
-impl F32BluesteinPlan {
-    fn new(n: usize) -> Result<Self> {
-        let m = next_pow2(2 * n - 1);
-        let inner = F32Radix2Plan::new(m)?;
-        let chirp: Vec<Complex64> = (0..n)
-            .map(|j| {
-                let jj = (j * j) % (2 * n);
-                Complex64::from_angle(-std::f64::consts::PI * jj as f64 / n as f64)
-            })
-            .collect();
-        // The chirp spectrum is computed at full f64 precision and rounded
-        // once, so the convolution kernel carries ½-ULP table error rather
-        // than an f32 FFT's accumulated error.
-        let mut spec = vec![Complex64::ZERO; m];
-        for (j, c) in chirp.iter().enumerate() {
-            let cc = c.conj();
-            spec[j] = cc;
-            if j != 0 {
-                spec[m - j] = cc;
-            }
-        }
-        crate::plan::Radix2Plan::new(m)?.forward(&mut spec)?;
-        Ok(Self {
-            inner,
-            chirp_re: chirp.iter().map(|c| c.re as f32).collect(),
-            chirp_im: chirp.iter().map(|c| c.im as f32).collect(),
-            spec_re: spec.iter().map(|c| c.re as f32).collect(),
-            spec_im: spec.iter().map(|c| c.im as f32).collect(),
-            scratch_re: vec![0.0; m],
-            scratch_im: vec![0.0; m],
-        })
-    }
-
-    /// In-place forward DFT of length `n` via chirp-z. Allocation-free.
-    fn forward(&mut self, data: &mut [Complex32]) -> Result<()> {
-        let n = data.len();
-        let m = self.scratch_re.len();
-        let (s_re, s_im) = (&mut self.scratch_re, &mut self.scratch_im);
-        for (j, d) in data.iter().enumerate() {
-            let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
-            s_re[j] = d.re * cr - d.im * ci;
-            s_im[j] = d.re * ci + d.im * cr;
-        }
-        for j in n..m {
-            s_re[j] = 0.0;
-            s_im[j] = 0.0;
-        }
-        self.inner.forward_soa(s_re, s_im)?;
-        lanes::cmul_f32(s_re, s_im, &self.spec_re, &self.spec_im);
-        self.inner.inverse_soa(s_re, s_im)?;
-        for (j, d) in data.iter_mut().enumerate() {
-            let (sr, si) = (s_re[j], s_im[j]);
-            let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
-            *d = Complex32::new(sr * cr - si * ci, sr * ci + si * cr);
-        }
-        Ok(())
-    }
-}
-
-enum F32PlanKind {
-    Radix2(F32Radix2Plan),
-    Bluestein(F32BluesteinPlan),
-}
-
-/// A reusable single-precision FFT plan for one fixed transform length
-/// (any length ≥ 1); structural mirror of [`crate::plan::FftPlan`].
-pub struct F32FftPlan {
-    len: usize,
-    kind: F32PlanKind,
-}
-
-impl std::fmt::Debug for F32FftPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.kind {
-            F32PlanKind::Radix2(_) => "radix-2",
-            F32PlanKind::Bluestein(_) => "bluestein",
-        };
-        f.debug_struct("F32FftPlan")
-            .field("len", &self.len)
-            .field("kind", &kind)
-            .finish()
-    }
-}
-
-impl F32FftPlan {
-    /// Builds a plan for transforms of length `n` (any `n ≥ 1`).
-    pub fn new(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
-        }
-        let kind = if is_pow2(n) {
-            F32PlanKind::Radix2(F32Radix2Plan::new(n)?)
-        } else {
-            F32PlanKind::Bluestein(F32BluesteinPlan::new(n)?)
-        };
-        Ok(Self { len: n, kind })
-    }
-
-    /// The transform length this plan was built for.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true for the degenerate length-0 plan (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// In-place forward DFT (unnormalised). Allocation-free.
-    pub fn process_forward(&mut self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data)?;
-        match &mut self.kind {
-            F32PlanKind::Radix2(p) => p.forward(data),
-            F32PlanKind::Bluestein(p) => p.forward(data),
-        }
-    }
-
-    /// In-place inverse DFT (normalised by 1/N). Allocation-free.
-    pub fn process_inverse(&mut self, data: &mut [Complex32]) -> Result<()> {
-        self.check(data)?;
-        match &mut self.kind {
-            F32PlanKind::Radix2(p) => p.inverse(data),
-            F32PlanKind::Bluestein(p) => {
-                // DFT⁻¹(x) = conj(DFT(conj(x))) / N.
-                for x in data.iter_mut() {
-                    *x = x.conj();
-                }
-                p.forward(data)?;
-                let scale = 1.0 / self.len as f32;
-                for x in data.iter_mut() {
-                    *x = x.conj() * scale;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn check(&self, data: &[Complex32]) -> Result<()> {
-        if data.len() != self.len {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// A thread-safe pool of [`F32FftPlan`]s for **one fixed length**,
-/// mirroring [`crate::plan::PlanPool`].
-pub struct F32PlanPool {
-    len: usize,
-    pool: Mutex<Vec<F32FftPlan>>,
-}
-
-impl std::fmt::Debug for F32PlanPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("F32PlanPool")
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl Clone for F32PlanPool {
-    fn clone(&self) -> Self {
-        Self {
-            len: self.len,
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl F32PlanPool {
-    /// Creates a pool for transforms of length `n`, with one plan built
-    /// eagerly.
-    pub fn new(n: usize) -> Result<Self> {
-        let first = F32FftPlan::new(n)?;
-        Ok(Self {
-            len: n,
-            pool: Mutex::new(vec![first]),
-        })
-    }
-
-    /// The transform length of every plan in this pool.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns true for the degenerate length-0 pool (never constructable).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Runs `f` with a checked-out plan.
-    pub fn with<R>(&self, f: impl FnOnce(&mut F32FftPlan) -> R) -> R {
-        let plan = self.pool.lock().expect("f32 plan pool poisoned").pop();
-        let mut plan = match plan {
-            Some(p) => p,
-            None => F32FftPlan::new(self.len).expect("pool length validated at construction"),
-        };
-        let result = f(&mut plan);
-        self.pool.lock().expect("f32 plan pool poisoned").push(plan);
-        result
-    }
-}
-
-/// Reusable per-call buffers for the f32 matched filter.
-struct F32Scratch {
-    /// SoA real half of the packed block buffer, sized for the **main**
-    /// leg's half-length transform (the tail leg borrows a prefix).
-    block_re: Vec<f32>,
-    /// SoA imaginary half of the packed block buffer.
-    block_im: Vec<f32>,
-    /// f64 prefix sums of the squared f32-cast samples.
-    prefix: Vec<f64>,
-}
-
-/// One overlap-save configuration of the f32 matched filter: a block
-/// length, the template half-spectrum at that length, the untangle twist
-/// table, and the half-length complex plan. The filter owns a full-size
-/// *main* leg plus (when the template length allows a shorter power of
-/// two) a half-size *tail* leg used for the final partial block.
-#[derive(Clone)]
-struct F32MfLeg {
-    /// Overlap-save block length in real samples (a power of two).
-    fft_len: usize,
-    /// Valid lags produced per block: `fft_len − template_len + 1`.
-    step: usize,
-    /// Conjugated template **half**-spectrum, SoA halves, `fft_len/2 + 1`
-    /// bins (bins 0 and `fft_len/2` are real), pre-scaled by the inverse
-    /// transform's 1/(fft_len/2) normalisation.
-    tspec_re: Vec<f32>,
-    tspec_im: Vec<f32>,
-    /// Untangle twist factors `e^(−2πik/fft_len)` for `k = 0 ..= fft_len/2`,
-    /// computed in f64 and rounded once.
-    twist_re: Vec<f32>,
-    twist_im: Vec<f32>,
-    /// Half-length complex plan (`fft_len / 2`).
-    plan: F32Radix2Plan,
-}
-
-impl F32MfLeg {
-    /// Precomputes one leg: the twist table, the conjugated (and
-    /// 1/H-scaled) template half-spectrum at `fft_len`, and the
-    /// half-length plan. Requires `fft_len ≥ template.len()`.
-    fn build(template: &[f64], fft_len: usize) -> Result<Self> {
-        let m = template.len();
-        let half = fft_len / 2;
-        let plan = F32Radix2Plan::new(half)?;
-
-        // Untangle twist factors, f64-computed, rounded once.
-        let mut twist_re = Vec::with_capacity(half + 1);
-        let mut twist_im = Vec::with_capacity(half + 1);
-        for k in 0..=half {
-            let ang = -2.0 * std::f64::consts::PI * k as f64 / fft_len as f64;
-            twist_re.push(ang.cos() as f32);
-            twist_im.push(ang.sin() as f32);
-        }
-
-        // Template half-spectrum: pack the f32-cast template into the
-        // half-length transform and untangle to the physical bins.
-        let mut pack_re = vec![0.0f32; half];
-        let mut pack_im = vec![0.0f32; half];
-        for (j, &t) in template.iter().enumerate() {
-            let tf = t as f32;
-            if j % 2 == 0 {
-                pack_re[j / 2] = tf;
-            } else {
-                pack_im[j / 2] = tf;
-            }
-        }
-        plan.forward_soa(&mut pack_re, &mut pack_im)?;
-        let mut tspec_re = vec![0.0f32; half + 1];
-        let mut tspec_im = vec![0.0f32; half + 1];
-        let inv_h = 1.0 / half as f32;
-        for k in 0..=half {
-            let j = (half - k) % half;
-            let (zr, zi) = (pack_re[k % half], pack_im[k % half]);
-            let (yr, yi) = (pack_re[j], pack_im[j]);
-            // X[k] = (Z[k] + conj(Z[h−k]))/2 − i·W^k·(Z[k] − conj(Z[h−k]))/2
-            let xer = 0.5 * (zr + yr);
-            let xei = 0.5 * (zi - yi);
-            let xor_ = 0.5 * (zi + yi);
-            let xoi = -0.5 * (zr - yr);
-            let (wr, wi) = (twist_re[k], twist_im[k]);
-            // Conjugated in place (the correlator multiplies by conj(T)) and
-            // pre-scaled by 1/(fft_len/2): the half-length inverse transform
-            // in `one_block` runs unnormalised, so its 1/H factor lives here,
-            // applied once at construction instead of twice per block.
-            tspec_re[k] = (xer + wr * xor_ - wi * xoi) * inv_h;
-            tspec_im[k] = -(xei + wr * xoi + wi * xor_) * inv_h;
-        }
-
-        Ok(Self {
-            fft_len,
-            step: fft_len - m + 1,
-            tspec_re,
-            tspec_im,
-            twist_re,
-            twist_im,
-            plan,
-        })
-    }
-
-    /// One overlap-save block starting at lag `p`, computed in f32 through
-    /// the lane kernels via the half-length real-input transform.
-    fn one_block(
-        &self,
-        signal: &[f64],
-        p: usize,
-        n_out: usize,
-        out: &mut [f64],
-        scratch: &mut F32Scratch,
-    ) -> Result<()> {
-        let n = signal.len();
-        let h = self.fft_len / 2;
-        // The scratch buffers are sized for the main leg; a tail leg
-        // borrows a prefix.
-        let re = &mut scratch.block_re[..h];
-        let im = &mut scratch.block_im[..h];
-        // Pack the real block: even samples → re, odd samples → im.
-        let available = (n - p).min(self.fft_len);
-        let block = &signal[p..p + available];
-        let mut pairs = block.chunks_exact(2);
-        let mut j = 0usize;
-        for pair in &mut pairs {
-            re[j] = pair[0] as f32;
-            im[j] = pair[1] as f32;
-            j += 1;
-        }
-        if let [last] = pairs.remainder() {
-            re[j] = *last as f32;
-            im[j] = 0.0;
-            j += 1;
-        }
-        for slot in re[j..h].iter_mut() {
-            *slot = 0.0;
-        }
-        for slot in im[j..h].iter_mut() {
-            *slot = 0.0;
-        }
-        self.plan.forward_soa(re, im)?;
-
-        // Fused untangle → spectrum product → inverse re-pack, one
-        // symmetric pass over the half-spectrum. For each mirror pair
-        // (k, h−k): untangle Z to the physical bins X[k], X[h−k],
-        // multiply by the conjugated template spectrum, then fold the
-        // products Y straight back into the packed form the half-length
-        // inverse transform expects (z[j] = y[2j] + i·y[2j+1] spectrum).
-        //
-        // Bin 0 pairs with bin h (both real-valued products):
-        // X[0] = Re Z[0] + Im Z[0], X[h] = Re Z[0] − Im Z[0].
-        let x0 = re[0] + im[0];
-        let xh = re[0] - im[0];
-        let y0 = x0 * self.tspec_re[0];
-        let yh = xh * self.tspec_re[h];
-        re[0] = 0.5 * (y0 + yh);
-        im[0] = 0.5 * (y0 - yh);
-        let mut k = 1usize;
-        while k <= h / 2 {
-            let j = h - k;
-            let (zkr, zki) = (re[k], im[k]);
-            let (zjr, zji) = (re[j], im[j]);
-            let (wr, wi) = (self.twist_re[k], self.twist_im[k]);
-
-            // Untangle both mirror bins: X[k] = Xe + W^k·Xo with
-            // Xe = (Z[k] + conj(Z[j]))/2, Xo = −i·(Z[k] − conj(Z[j]))/2,
-            // and X[j] = conj(Xe) + W^j·conj(Xo), W^j = −conj(W^k).
-            let xer = 0.5 * (zkr + zjr);
-            let xei = 0.5 * (zki - zji);
-            let xor_ = 0.5 * (zki + zji);
-            let xoi = -0.5 * (zkr - zjr);
-            let xkr = xer + wr * xor_ - wi * xoi;
-            let xki = xei + wr * xoi + wi * xor_;
-            let xjr = xer - (wr * xor_ - wi * xoi);
-            let xji = -xei + (wr * xoi + wi * xor_);
-
-            // Pointwise product with the conjugated template spectrum.
-            let (tkr, tki) = (self.tspec_re[k], self.tspec_im[k]);
-            let (tjr, tji) = (self.tspec_re[j], self.tspec_im[j]);
-            let ykr = xkr * tkr - xki * tki;
-            let yki = xkr * tki + xki * tkr;
-            let yjr = xjr * tjr - xji * tji;
-            let yji = xjr * tji + xji * tjr;
-
-            // Re-pack for the inverse: z[k] = Ye + i·Yo with
-            // Ye = (Y[k] + conj(Y[j]))/2, Yo = conj(W^k)·(Y[k] − conj(Y[j]))/2,
-            // and the mirror z[j] likewise with conjugated parts.
-            let yer = 0.5 * (ykr + yjr);
-            let yei = 0.5 * (yki - yji);
-            let ydr = 0.5 * (ykr - yjr);
-            let ydi = 0.5 * (yki + yji);
-            let yor_ = wr * ydr + wi * ydi;
-            let yoi = wr * ydi - wi * ydr;
-            re[k] = yer - yoi;
-            im[k] = yei + yor_;
-            re[j] = yer + yoi;
-            im[j] = -yei + yor_;
-            k += 1;
-        }
-
-        // Unscaled: the 1/H factor is folded into the template spectrum.
-        self.plan.inverse_soa_unscaled(re, im)?;
-        // The inverse output interleaves the real correlation samples:
-        // y[2j] = re[j], y[2j+1] = im[j].
-        let take = self.step.min(n_out - p);
-        let dst = &mut out[p..p + take];
-        for j in 0..take / 2 {
-            dst[2 * j] = re[j] as f64;
-            dst[2 * j + 1] = im[j] as f64;
-        }
-        if take % 2 == 1 {
-            dst[take - 1] = re[take / 2] as f64;
-        }
-        Ok(())
-    }
-}
-
-/// A precomputed single-precision overlap-save matched filter for one
-/// fixed template, mirroring [`crate::matched::MatchedFilter`].
-///
-/// `f64` at the API boundary (the capture layer hands over `f64` streams),
-/// `f32` SoA inside: the template is cast once at construction, incoming
-/// signals are cast once per call, and every block runs through the
-/// `[f32; 8]` lane kernels. The normalisation denominator uses `f64`
-/// prefix sums **of the f32-cast samples**, so numerator and denominator
-/// see the same quantisation.
-///
-/// ## Real-input transform
-///
-/// Both the block and the template are real, so each overlap-save block
-/// runs a **real-input FFT**: the `fft_len` real samples are packed as
-/// `z[j] = x[2j] + i·x[2j+1]` into one complex transform of length
-/// `fft_len / 2`, untangled to the physical half-spectrum, multiplied by
-/// the conjugated template half-spectrum, re-packed, and inverted through
-/// a second half-length transform whose output interleaves the real
-/// correlation samples. Untangle, spectrum product and re-pack are fused
-/// into a single symmetric pass, so a block costs two half-length FFTs
-/// plus one O(fft_len/2) sweep — about 2.5× less transform work than the
-/// complex-FFT formulation, with bit-exactly the same convolution in
-/// exact arithmetic (the pack identities are algebraic, not approximate).
-///
-/// ## Two-leg block plan
-///
-/// The filter carries two overlap-save configurations: a *main* leg with
-/// block length `next_pow2(2·template_len)` and, when that is a longer
-/// power of two than `next_pow2(template_len)`, a half-size *tail* leg.
-/// The final block of a stream rarely has a full step of lags left, so
-/// once the remaining output fits the tail's step the block runs through
-/// the half-size transform at roughly half the cost. Block positions
-/// always advance by the main step, so solo and batched runs partition a
-/// stream identically and produce identical samples.
-pub struct F32MatchedFilter {
-    template_len: usize,
-    /// L2 norm of the f32-cast template, accumulated in f64.
-    template_norm: f64,
-    /// Full-size leg: block length `next_pow2(2·template_len)`, used for
-    /// every block that can still emit a full step of lags.
-    main: F32MfLeg,
-    /// Half-size leg (`next_pow2(template_len)`, when that is shorter than
-    /// the main block): the final block of a stream rarely has a full step
-    /// of lags left, and a half-size transform emits the remainder for
-    /// roughly half the cost.
-    tail: Option<F32MfLeg>,
-    pool: Mutex<Vec<F32Scratch>>,
-}
-
-impl std::fmt::Debug for F32MatchedFilter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("F32MatchedFilter")
-            .field("template_len", &self.template_len)
-            .field("fft_len", &self.main.fft_len)
-            .finish()
-    }
-}
-
-impl Clone for F32MatchedFilter {
-    fn clone(&self) -> Self {
-        Self {
-            template_len: self.template_len,
-            template_norm: self.template_norm,
-            main: self.main.clone(),
-            tail: self.tail.clone(),
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl F32MatchedFilter {
-    /// Builds an f32 matched filter for `template`. The template must be
-    /// non-empty with non-zero energy, as for the `f64` filter.
-    pub fn new(template: &[f64]) -> Result<Self> {
-        if template.is_empty() {
-            return Err(DspError::InvalidLength {
-                reason: "matched-filter template must be non-empty",
-            });
-        }
-        let m = template.len();
-        let mut template_norm_sq = 0.0f64;
-        for &t in template {
-            let tf = t as f32;
-            template_norm_sq += tf as f64 * tf as f64;
-        }
-        if template_norm_sq == 0.0 {
-            return Err(DspError::InvalidParameter {
-                reason: "template has zero energy",
-            });
-        }
-        // The real-input formulation halves the transform work, so the
-        // optimum block is shorter than the complex filter's 4m: 2m keeps
-        // the half-length transforms cache-resident at the preamble's size.
-        let main_len = next_pow2(2 * m).max(1024);
-        let main = F32MfLeg::build(template, main_len)?;
-        // The shortest power of two that still holds the template gives the
-        // cheap leg for the final partial block.
-        let tail_len = next_pow2(m).max(1024);
-        let tail = if tail_len < main_len {
-            Some(F32MfLeg::build(template, tail_len)?)
-        } else {
-            None
-        };
-        Ok(Self {
-            template_len: m,
-            template_norm: template_norm_sq.sqrt(),
-            main,
-            tail,
-            pool: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Length of the template this filter was built for.
-    pub fn template_len(&self) -> usize {
-        self.template_len
-    }
-
-    /// Returns true for the degenerate empty-template filter (never
-    /// constructable).
-    pub fn is_empty(&self) -> bool {
-        self.template_len == 0
-    }
-
-    /// FFT block length used internally (the main leg's; the final partial
-    /// block of a stream may run through a half-size tail leg).
-    pub fn block_len(&self) -> usize {
-        self.main.fft_len
-    }
-
-    /// Number of valid correlation lags for a signal of `signal_len`
-    /// samples, or an error when the signal is shorter than the template.
-    pub fn output_len(&self, signal_len: usize) -> Result<usize> {
-        if signal_len < self.template_len {
-            return Err(DspError::InvalidLength {
-                reason: "template longer than signal",
-            });
-        }
-        Ok(signal_len - self.template_len + 1)
-    }
-
-    /// Raw valid-lag cross-correlation (same definition as
-    /// [`crate::correlation::xcorr_fft`], computed in f32) into a caller
-    /// buffer.
-    pub fn correlate_into(&self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.run(signal, out, false)
-    }
-
-    /// Normalised valid-lag cross-correlation (same definition as
-    /// [`crate::correlation::xcorr_normalized`], computed in f32) into a
-    /// caller buffer.
-    pub fn correlate_normalized_into(&self, signal: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.run(signal, out, true)
-    }
-
-    /// Convenience wrapper returning a fresh vector of normalised
-    /// correlations.
-    pub fn correlate_normalized(&self, signal: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.correlate_normalized_into(signal, &mut out)?;
-        Ok(out)
-    }
-
-    /// Normalised correlation of N links' captures through one plan
-    /// invocation, mirroring
-    /// [`crate::matched::MatchedFilter::correlate_normalized_batch`]:
-    /// one scratch checkout, blocks walked column-major so the template
-    /// spectrum stays cache-hot across links.
-    pub fn correlate_normalized_batch(&self, signals: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        let mut outs: Vec<Vec<f64>> = signals.iter().map(|_| Vec::new()).collect();
-        self.correlate_normalized_batch_into(signals, &mut outs)?;
-        Ok(outs)
-    }
-
-    /// Batched normalised correlation into caller buffers. `outs` must have
-    /// one slot per signal.
-    pub fn correlate_normalized_batch_into(
-        &self,
-        signals: &[&[f64]],
-        outs: &mut [Vec<f64>],
-    ) -> Result<()> {
-        if signals.len() != outs.len() {
-            return Err(DspError::InvalidLength {
-                reason: "batched correlation needs one output slot per signal",
-            });
-        }
-        // Validate first; output lengths are recomputed where needed below
-        // instead of staged in a side vector, keeping the steady state
-        // allocation-free.
-        for signal in signals {
-            if signal.is_empty() {
-                return Err(DspError::InvalidLength {
-                    reason: "correlation inputs must be non-empty",
-                });
-            }
-            self.output_len(signal.len())?;
-        }
-        let n_out_of = |signal: &[f64]| signal.len() - self.template_len + 1;
-        let mut scratch = self.acquire();
-        let result = (|| {
-            for (out, signal) in outs.iter_mut().zip(signals.iter()) {
-                out.clear();
-                out.resize(n_out_of(signal), 0.0);
-            }
-            let max_blocks = signals
-                .iter()
-                .map(|s| n_out_of(s).div_ceil(self.main.step))
-                .max()
-                .unwrap_or(0);
-            for b in 0..max_blocks {
-                let p = b * self.main.step;
-                for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                    let n_out = n_out_of(signal);
-                    if p < n_out {
-                        self.leg_for(n_out - p)
-                            .one_block(signal, p, n_out, out, &mut scratch)?;
-                    }
-                }
-            }
-            for (signal, out) in signals.iter().zip(outs.iter_mut()) {
-                debug_assert_eq!(out.len(), n_out_of(signal));
-                self.normalize(signal, out, &mut scratch);
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
-    }
-
-    fn run(&self, signal: &[f64], out: &mut Vec<f64>, normalize: bool) -> Result<()> {
-        if signal.is_empty() {
-            return Err(DspError::InvalidLength {
-                reason: "correlation inputs must be non-empty",
-            });
-        }
-        let n_out = self.output_len(signal.len())?;
-        let mut scratch = self.acquire();
-        let result = (|| {
-            out.clear();
-            out.resize(n_out, 0.0);
-            let mut p = 0usize;
-            while p < n_out {
-                self.leg_for(n_out - p)
-                    .one_block(signal, p, n_out, out, &mut scratch)?;
-                p += self.main.step;
-            }
-            if normalize {
-                self.normalize(signal, out, &mut scratch);
-            }
-            Ok(())
-        })();
-        self.release(scratch);
-        result
-    }
-
-    /// Chooses the leg for the block at lag `p`: the half-size tail leg
-    /// once the remaining lags fit within its step, the main leg
-    /// otherwise. Block positions always advance by the main step, so
-    /// solo and batched runs partition the stream identically.
-    fn leg_for(&self, remaining: usize) -> &F32MfLeg {
-        match &self.tail {
-            Some(t) if remaining <= t.step => t,
-            _ => &self.main,
-        }
-    }
-
-    /// Sliding window energy via f64 prefix sums of the f32-cast samples.
-    fn normalize(&self, signal: &[f64], out: &mut [f64], scratch: &mut F32Scratch) {
-        let n = signal.len();
-        // Cast and square in the same pass as the running sum: the f32
-        // cast here matches the quantisation the numerator saw.
-        let prefix = &mut scratch.prefix;
-        prefix.clear();
-        prefix.reserve(n + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0f64;
-        for &s in signal.iter() {
-            let sf = s as f32;
-            acc += sf as f64 * sf as f64;
-            prefix.push(acc);
-        }
-        let m = self.template_len;
-        for (k, r) in out.iter_mut().enumerate() {
-            let win_energy = prefix[k + m] - prefix[k];
-            let denom = self.template_norm * win_energy.sqrt();
-            *r = if denom > 0.0 { *r / denom } else { 0.0 };
-        }
-    }
-
-    fn acquire(&self) -> F32Scratch {
-        self.pool
-            .lock()
-            .expect("f32 matched-filter pool poisoned")
-            .pop()
-            .unwrap_or_else(|| F32Scratch {
-                block_re: vec![0.0; self.main.fft_len / 2],
-                block_im: vec![0.0; self.main.fft_len / 2],
-                prefix: Vec::new(),
-            })
-    }
-
-    fn release(&self, scratch: F32Scratch) {
-        self.pool
-            .lock()
-            .expect("f32 matched-filter pool poisoned")
-            .push(scratch);
-    }
-}
+//! There is one float stack ([`crate::plan`], [`crate::matched`],
+//! [`crate::complex`]), generic over [`crate::lanes::LaneFloat`]. Each of
+//! those modules tests its default `f64` instantiation; this test-only module
+//! holds the checks of the `f32` one (the phone path): SQNR against the f64
+//! oracle, lane/scalar and SoA/interleaved bit-exactness, length rejection,
+//! pool sharing and the matched filter.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::complex::{Complex32, Complex64};
+    use crate::correlation::{argmax, xcorr_normalized};
     use crate::fft::{fft, fft_any};
+    use crate::matched::MatchedFilter;
+    use crate::plan::{FftPlan, PlanPool, Radix2Plan};
 
     fn cast(signal: &[Complex64]) -> Vec<Complex32> {
         signal
@@ -1247,6 +57,12 @@ mod tests {
         assert_eq!(a.conj().im, 0.5);
         assert!((a.norm_sqr() - 2.5).abs() < 1e-6);
         assert!((Complex32::from_re(3.0).abs() - 3.0).abs() < 1e-6);
+        let wide = Complex64::new(0.1, -0.7);
+        assert_eq!(
+            Complex32::from_complex64(wide).to_complex64().re,
+            0.1f32 as f64
+        );
+        assert_eq!(Complex64::from_complex64(wide), wide);
     }
 
     #[test]
@@ -1255,7 +71,7 @@ mod tests {
             let signal = test_signal(n, 0.5);
             let reference = fft(&signal).unwrap();
             let mut data = cast(&signal);
-            let plan = F32Radix2Plan::new(n).unwrap();
+            let plan = Radix2Plan::<f32>::new(n).unwrap();
             plan.forward(&mut data).unwrap();
             let snr = sqnr_db(&reference, &data);
             assert!(snr >= 100.0, "n={n}: SQNR {snr:.1} dB");
@@ -1264,9 +80,9 @@ mod tests {
 
     #[test]
     fn lane_path_is_bit_identical_to_the_scalar_reference() {
-        for n in [1usize, 2, 16, 256, 2048] {
+        for n in [1usize, 2, 4, 8, 16, 32, 256, 2048] {
             let signal = test_signal(n, 0.8);
-            let plan = F32Radix2Plan::new(n).unwrap();
+            let plan = Radix2Plan::<f32>::new(n).unwrap();
             let mut lane = cast(&signal);
             let mut scalar = lane.clone();
             plan.forward(&mut lane).unwrap();
@@ -1282,12 +98,18 @@ mod tests {
     fn soa_entry_points_match_the_interleaved_wrappers() {
         for n in [4usize, 64, 1024] {
             let signal = test_signal(n, 0.6);
-            let plan = F32Radix2Plan::new(n).unwrap();
+            let plan = Radix2Plan::<f32>::new(n).unwrap();
             let mut aos = cast(&signal);
             let mut re: Vec<f32> = aos.iter().map(|c| c.re).collect();
             let mut im: Vec<f32> = aos.iter().map(|c| c.im).collect();
             plan.forward(&mut aos).unwrap();
             plan.forward_soa(&mut re, &mut im).unwrap();
+            for (c, (r, x)) in aos.iter().zip(re.iter().zip(im.iter())) {
+                assert_eq!(c.re, *r);
+                assert_eq!(c.im, *x);
+            }
+            plan.inverse(&mut aos).unwrap();
+            plan.inverse_soa(&mut re, &mut im).unwrap();
             for (c, (r, x)) in aos.iter().zip(re.iter().zip(im.iter())) {
                 assert_eq!(c.re, *r);
                 assert_eq!(c.im, *x);
@@ -1300,7 +122,7 @@ mod tests {
         for n in [64usize, 1024, 2048] {
             let signal = test_signal(n, 0.7);
             let mut data = cast(&signal);
-            let mut plan = F32FftPlan::new(n).unwrap();
+            let mut plan = FftPlan::<f32>::new(n).unwrap();
             plan.process_forward(&mut data).unwrap();
             plan.process_inverse(&mut data).unwrap();
             let snr = sqnr_db(&signal, &data);
@@ -1314,7 +136,7 @@ mod tests {
             let signal = test_signal(n, 0.6);
             let reference = fft_any(&signal).unwrap();
             let mut data = cast(&signal);
-            let mut plan = F32FftPlan::new(n).unwrap();
+            let mut plan = FftPlan::<f32>::new(n).unwrap();
             plan.process_forward(&mut data).unwrap();
             let snr = sqnr_db(&reference, &data);
             assert!(snr >= 85.0, "n={n}: Bluestein SQNR {snr:.1} dB");
@@ -1323,15 +145,15 @@ mod tests {
 
     #[test]
     fn plan_rejects_bad_lengths() {
-        assert!(F32FftPlan::new(0).is_err());
-        assert!(F32Radix2Plan::new(0).is_err());
-        assert!(F32Radix2Plan::new(48).is_err());
-        assert!(F32PlanPool::new(0).is_err());
-        let mut plan = F32FftPlan::new(64).unwrap();
+        assert!(FftPlan::<f32>::new(0).is_err());
+        assert!(Radix2Plan::<f32>::new(0).is_err());
+        assert!(Radix2Plan::<f32>::new(48).is_err());
+        assert!(PlanPool::<f32>::new(0).is_err());
+        let mut plan = FftPlan::<f32>::new(64).unwrap();
         let mut wrong = vec![Complex32::ZERO; 32];
         assert!(plan.process_forward(&mut wrong).is_err());
         assert!(plan.process_inverse(&mut wrong).is_err());
-        let radix = F32Radix2Plan::new(64).unwrap();
+        let radix = Radix2Plan::<f32>::new(64).unwrap();
         assert!(radix.forward_soa(&mut [0.0; 32], &mut [0.0; 64]).is_err());
         assert!(radix.inverse_soa(&mut [0.0; 64], &mut [0.0; 32]).is_err());
         assert!(radix.forward_scalar(&mut [Complex32::ZERO; 16]).is_err());
@@ -1340,10 +162,11 @@ mod tests {
 
     #[test]
     fn pool_shares_and_replenishes() {
-        let pool = F32PlanPool::new(1920).unwrap();
+        let pool = PlanPool::<f32>::new(1920).unwrap();
         assert_eq!(pool.len(), 1920);
         let signal = test_signal(1920, 0.6);
         let reference = fft_any(&signal).unwrap();
+        // Nested checkout forces the pool to build a second plan.
         let out = pool.with(|outer| {
             let mut a = cast(&signal);
             outer.process_forward(&mut a).unwrap();
@@ -1367,12 +190,12 @@ mod tests {
         for (i, &t) in template.iter().enumerate() {
             signal[900 + i] += t;
         }
-        let filter = F32MatchedFilter::new(&template).unwrap();
+        let filter = MatchedFilter::<f32>::new(&template).unwrap();
         let corr = filter.correlate_normalized(&signal).unwrap();
-        let (idx, peak) = crate::correlation::argmax(&corr).unwrap();
+        let (idx, peak) = argmax(&corr).unwrap();
         assert_eq!(idx, 900);
         assert!(peak > 0.9, "peak {peak}");
-        let reference = crate::correlation::xcorr_normalized(&signal, &template).unwrap();
+        let reference = xcorr_normalized(&signal, &template).unwrap();
         assert_eq!(corr.len(), reference.len());
         let max_err = corr
             .iter()
@@ -1383,38 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_correlation_matches_per_link_calls() {
-        let template: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.41).sin()).collect();
-        let filter = F32MatchedFilter::new(&template).unwrap();
-        let embed = |offset: usize, total: usize| -> Vec<f64> {
-            let mut s: Vec<f64> = (0..total)
-                .map(|i| 0.02 * ((i as f64) * 0.377).sin())
-                .collect();
-            for (i, &t) in template.iter().enumerate() {
-                s[offset + i] += t;
-            }
-            s
-        };
-        let sig_a = embed(57, 900);
-        let sig_b = embed(700, filter.block_len() * 2 + 31);
-        let signals: Vec<&[f64]> = vec![&sig_a, &sig_b];
-        let batched = filter.correlate_normalized_batch(&signals).unwrap();
-        for (signal, got) in signals.iter().zip(batched.iter()) {
-            let solo = filter.correlate_normalized(signal).unwrap();
-            assert_eq!(&solo, got);
-        }
-        assert!(filter.correlate_normalized_batch(&[]).unwrap().is_empty());
-        let good = vec![0.5; 600];
-        assert!(filter
-            .correlate_normalized_batch(&[&good, &[1.0, 2.0]])
-            .is_err());
-    }
-
-    #[test]
     fn matched_filter_edge_cases() {
-        assert!(F32MatchedFilter::new(&[]).is_err());
-        assert!(F32MatchedFilter::new(&[0.0; 32]).is_err());
-        let filter = F32MatchedFilter::new(&[1.0, -1.0, 0.5]).unwrap();
+        assert!(MatchedFilter::<f32>::new(&[]).is_err());
+        assert!(MatchedFilter::<f32>::new(&[0.0; 32]).is_err());
+        let filter = MatchedFilter::<f32>::new(&[1.0, -1.0, 0.5]).unwrap();
         let mut out = Vec::new();
         assert!(filter.correlate_into(&[], &mut out).is_err());
         assert!(filter.correlate_into(&[1.0, 2.0], &mut out).is_err());
@@ -1424,7 +219,7 @@ mod tests {
         assert!(out.iter().all(|&v| v == 0.0));
         // Pool reuse and clones are bit-identical.
         let template: Vec<f64> = (0..64).map(|i| ((i as f64) * 0.9).sin()).collect();
-        let filter = F32MatchedFilter::new(&template).unwrap();
+        let filter = MatchedFilter::<f32>::new(&template).unwrap();
         let signal: Vec<f64> = (0..1200).map(|i| ((i as f64) * 0.23).sin()).collect();
         let first = filter.correlate_normalized(&signal).unwrap();
         for _ in 0..3 {

@@ -9,9 +9,10 @@
 //! **structure-of-arrays** form — separate `re[]` / `im[]` slices — processed
 //! in fixed-width blocks the LLVM autovectorizer reliably lowers to SIMD:
 //!
-//! * `[f64; 4]` blocks (one AVX2 register / two NEON registers) for the f64
-//!   oracle path,
-//! * `[f32; 8]` blocks for the f32 phone-DSP path,
+//! * `[T; T::LANES]` blocks for the two float paths — one kernel set,
+//!   generic over the sealed [`LaneFloat`] trait: `[f64; 4]` (one AVX2
+//!   register / two NEON registers) for the f64 oracle path and `[f32; 8]`
+//!   for the f32 phone-DSP path,
 //! * `[i32; 8]` blocks (widened Q15 mantissas) for the fixed-point path,
 //!   with `i64` product accumulators exactly as the scalar code uses.
 //!
@@ -26,14 +27,98 @@
 //!
 //! The kernels are `pub` so the differential harness and the bench suite can
 //! drive them directly; production code reaches them through
-//! [`crate::plan`], [`crate::float32`], [`crate::fixed`] and
-//! [`crate::matched`].
+//! [`crate::plan`], [`crate::matched`] and [`crate::fixed`].
 
-/// Lane width of the f64 kernels: `[f64; 4]` is one AVX2 register.
-pub const F64_LANES: usize = 4;
+use std::fmt::Debug;
+use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Lane width of the f32 kernels: `[f32; 8]` is one AVX2 register.
-pub const F32_LANES: usize = 8;
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
+}
+
+/// The float sample types the plan layer and matched filter are generic
+/// over: `f64` (the oracle path, `[f64; 4]` lanes) and `f32` (the phone
+/// path, `[f32; 8]` lanes). Sealed — the lane widths and the rounding
+/// contract (tables computed in `f64`, rounded once by
+/// [`LaneFloat::from_f64`]) are only defined for these two.
+pub trait LaneFloat:
+    sealed::Sealed
+    + Copy
+    + Default
+    + PartialEq
+    + Debug
+    + Send
+    + Sync
+    + 'static
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+{
+    /// Lane width of this type's kernels: one AVX2 register's worth.
+    const LANES: usize;
+    /// Whether the radix-2 plan runs the fused stage kernels
+    /// ([`butterfly_first3`], then [`butterfly_pair`]) or one stage per
+    /// memory sweep. Fusion pays for 8-wide `f32`; for `f64` it measured
+    /// ~20% slower on 2048–65536-point transforms, so `f64` keeps one
+    /// stage per sweep. Either schedule evaluates the same butterflies on
+    /// the same operands, so outputs are identical.
+    const FUSE_STAGES: bool;
+    /// Additive identity.
+    const ZERO: Self;
+    /// Multiplicative identity.
+    const ONE: Self;
+    /// Rounds an `f64` to this type (the identity for `f64`).
+    fn from_f64(x: f64) -> Self;
+    /// Widens to `f64` (exact for both types).
+    fn to_f64(self) -> f64;
+    /// Square root.
+    fn sqrt(self) -> Self;
+}
+
+impl LaneFloat for f64 {
+    const LANES: usize = 4;
+    const FUSE_STAGES: bool = false;
+    const ZERO: Self = 0.0;
+    const ONE: Self = 1.0;
+    #[inline]
+    fn from_f64(x: f64) -> Self {
+        x
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
+    }
+}
+
+impl LaneFloat for f32 {
+    const LANES: usize = 8;
+    const FUSE_STAGES: bool = true;
+    const ZERO: Self = 0.0;
+    const ONE: Self = 1.0;
+    #[inline]
+    fn from_f64(x: f64) -> Self {
+        x as f32
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    #[inline]
+    fn sqrt(self) -> Self {
+        f32::sqrt(self)
+    }
+}
 
 /// Lane width of the widened-Q15 integer kernels: `[i32; 8]` is one AVX2
 /// register.
@@ -46,10 +131,10 @@ pub fn sat16_i64(v: i64) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// f64 kernels
+// Float kernels (f64 and f32)
 // ---------------------------------------------------------------------------
 
-/// One radix-2 butterfly group in SoA form, `[f64; 4]` lanes.
+/// One radix-2 butterfly group in SoA form, `[T; T::LANES]` lanes.
 ///
 /// For each `k`: `p = odd[k] · w[k]`, then `even[k] ← even[k] + p` and
 /// `odd[k] ← even[k] − p` — the exact expressions of the scalar
@@ -58,13 +143,13 @@ pub fn sat16_i64(v: i64) -> i32 {
 ///
 /// All six slices must have the same length (the stage half-width).
 #[inline]
-pub fn butterfly_f64(
-    e_re: &mut [f64],
-    e_im: &mut [f64],
-    o_re: &mut [f64],
-    o_im: &mut [f64],
-    w_re: &[f64],
-    w_im: &[f64],
+pub fn butterfly<T: LaneFloat>(
+    e_re: &mut [T],
+    e_im: &mut [T],
+    o_re: &mut [T],
+    o_im: &mut [T],
+    w_re: &[T],
+    w_im: &[T],
 ) {
     let half = e_re.len();
     assert!(
@@ -73,24 +158,24 @@ pub fn butterfly_f64(
             && o_im.len() == half
             && w_re.len() == half
             && w_im.len() == half,
-        "butterfly_f64 slice lengths must match"
+        "butterfly slice lengths must match"
     );
-    // `chunks_exact` hands LLVM compile-time `[f64; F64_LANES]` blocks with
-    // no bounds checks, which it lowers to packed SIMD; the remainder runs
+    // `chunks_exact` hands LLVM compile-time `[T; LANES]` blocks with no
+    // bounds checks, which it lowers to packed SIMD; the remainder runs
     // the same expressions one lane at a time.
-    let mut er_b = e_re.chunks_exact_mut(F64_LANES);
-    let mut ei_b = e_im.chunks_exact_mut(F64_LANES);
-    let mut or_b = o_re.chunks_exact_mut(F64_LANES);
-    let mut oi_b = o_im.chunks_exact_mut(F64_LANES);
-    let mut wr_b = w_re.chunks_exact(F64_LANES);
-    let mut wi_b = w_im.chunks_exact(F64_LANES);
+    let mut er_b = e_re.chunks_exact_mut(T::LANES);
+    let mut ei_b = e_im.chunks_exact_mut(T::LANES);
+    let mut or_b = o_re.chunks_exact_mut(T::LANES);
+    let mut oi_b = o_im.chunks_exact_mut(T::LANES);
+    let mut wr_b = w_re.chunks_exact(T::LANES);
+    let mut wi_b = w_im.chunks_exact(T::LANES);
     for ((((er_c, ei_c), or_c), oi_c), (wr_c, wi_c)) in (&mut er_b)
         .zip(&mut ei_b)
         .zip(&mut or_b)
         .zip(&mut oi_b)
         .zip((&mut wr_b).zip(&mut wi_b))
     {
-        for j in 0..F64_LANES {
+        for j in 0..T::LANES {
             let pr = or_c[j] * wr_c[j] - oi_c[j] * wi_c[j];
             let pi = or_c[j] * wi_c[j] + oi_c[j] * wr_c[j];
             let er = er_c[j];
@@ -120,28 +205,29 @@ pub fn butterfly_f64(
     }
 }
 
-/// One whole small-half butterfly **stage** (`half = w_re.len() < F64_LANES`)
-/// in a single flat pass: the per-group loop lives inside the kernel, so the
+/// One whole small-half butterfly **stage** (`half = w_re.len() < LANES`)
+/// in a single flat pass: the per-group loop lives inside the kernel, so
 /// early FFT stages (tens of thousands of one- and two-element groups) pay
-/// the call/setup cost once per stage instead of once per group. `re.len()`
-/// must be a multiple of `2 · half`. The butterfly expressions are exactly
-/// those of [`butterfly_f64`], so outputs stay bit-identical to the scalar
-/// reference.
+/// the call/setup cost once per stage instead of once per group.
+/// `re.len()` must be a multiple of `2 · half`. The butterfly expressions
+/// are exactly those of [`butterfly`], so outputs stay bit-identical to the
+/// scalar reference.
 #[inline]
-pub fn butterfly_f64_small(re: &mut [f64], im: &mut [f64], w_re: &[f64], w_im: &[f64]) {
+pub fn butterfly_small<T: LaneFloat>(re: &mut [T], im: &mut [T], w_re: &[T], w_im: &[T]) {
     debug_assert_eq!(w_re.len(), w_im.len());
     debug_assert_eq!(re.len() % (2 * w_re.len().max(1)), 0);
     match w_re.len() {
-        1 => small_stage_f64::<1>(re, im, w_re, w_im),
-        2 => small_stage_f64::<2>(re, im, w_re, w_im),
+        1 => small_stage::<T, 1>(re, im, w_re, w_im),
+        2 => small_stage::<T, 2>(re, im, w_re, w_im),
+        4 => small_stage::<T, 4>(re, im, w_re, w_im),
         half => {
-            // Fallback for callers outside the {1, 2} dispatch; same math
-            // through the general kernel, one group at a time.
+            // Fallback for callers outside the {1, 2, 4} dispatch; same
+            // math through the general kernel, one group at a time.
             let mut start = 0usize;
             while start < re.len() {
                 let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
                 let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                butterfly_f64(e_re, e_im, o_re, o_im, w_re, w_im);
+                butterfly(e_re, e_im, o_re, o_im, w_re, w_im);
                 start += half << 1;
             }
         }
@@ -149,158 +235,14 @@ pub fn butterfly_f64_small(re: &mut [f64], im: &mut [f64], w_re: &[f64], w_im: &
 }
 
 #[inline]
-fn small_stage_f64<const HALF: usize>(re: &mut [f64], im: &mut [f64], w_re: &[f64], w_im: &[f64]) {
-    let mut wr = [0.0f64; HALF];
-    let mut wi = [0.0f64; HALF];
-    wr.copy_from_slice(&w_re[..HALF]);
-    wi.copy_from_slice(&w_im[..HALF]);
-    for (rc, ic) in re
-        .chunks_exact_mut(2 * HALF)
-        .zip(im.chunks_exact_mut(2 * HALF))
-    {
-        for k in 0..HALF {
-            let pr = rc[k + HALF] * wr[k] - ic[k + HALF] * wi[k];
-            let pi = rc[k + HALF] * wi[k] + ic[k + HALF] * wr[k];
-            let er = rc[k];
-            let ei = ic[k];
-            rc[k] = er + pr;
-            ic[k] = ei + pi;
-            rc[k + HALF] = er - pr;
-            ic[k + HALF] = ei - pi;
-        }
-    }
-}
-
-/// Pointwise complex product `x[k] ← x[k] · t[k]` in SoA form, f64 lanes.
-#[inline]
-pub fn cmul_f64(x_re: &mut [f64], x_im: &mut [f64], t_re: &[f64], t_im: &[f64]) {
-    let n = x_re.len();
-    assert!(
-        x_im.len() == n && t_re.len() == n && t_im.len() == n,
-        "cmul_f64 slice lengths must match"
-    );
-    let mut k = 0usize;
-    while k + F64_LANES <= n {
-        for j in 0..F64_LANES {
-            let xr = x_re[k + j];
-            let xi = x_im[k + j];
-            x_re[k + j] = xr * t_re[k + j] - xi * t_im[k + j];
-            x_im[k + j] = xr * t_im[k + j] + xi * t_re[k + j];
-        }
-        k += F64_LANES;
-    }
-    while k < n {
-        let xr = x_re[k];
-        let xi = x_im[k];
-        x_re[k] = xr * t_re[k] - xi * t_im[k];
-        x_im[k] = xr * t_im[k] + xi * t_re[k];
-        k += 1;
-    }
-}
-
-/// Scales both components by a real factor, f64 lanes.
-#[inline]
-pub fn scale_f64(re: &mut [f64], im: &mut [f64], s: f64) {
-    for x in re.iter_mut() {
-        *x *= s;
-    }
-    for x in im.iter_mut() {
-        *x *= s;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32 kernels
-// ---------------------------------------------------------------------------
-
-/// One radix-2 butterfly group in SoA form, `[f32; 8]` lanes. Same
-/// expressions as [`butterfly_f64`], in single precision.
-#[inline]
-pub fn butterfly_f32(
-    e_re: &mut [f32],
-    e_im: &mut [f32],
-    o_re: &mut [f32],
-    o_im: &mut [f32],
-    w_re: &[f32],
-    w_im: &[f32],
+fn small_stage<T: LaneFloat, const HALF: usize>(
+    re: &mut [T],
+    im: &mut [T],
+    w_re: &[T],
+    w_im: &[T],
 ) {
-    let half = e_re.len();
-    assert!(
-        e_im.len() == half
-            && o_re.len() == half
-            && o_im.len() == half
-            && w_re.len() == half
-            && w_im.len() == half,
-        "butterfly_f32 slice lengths must match"
-    );
-    let mut er_b = e_re.chunks_exact_mut(F32_LANES);
-    let mut ei_b = e_im.chunks_exact_mut(F32_LANES);
-    let mut or_b = o_re.chunks_exact_mut(F32_LANES);
-    let mut oi_b = o_im.chunks_exact_mut(F32_LANES);
-    let mut wr_b = w_re.chunks_exact(F32_LANES);
-    let mut wi_b = w_im.chunks_exact(F32_LANES);
-    for ((((er_c, ei_c), or_c), oi_c), (wr_c, wi_c)) in (&mut er_b)
-        .zip(&mut ei_b)
-        .zip(&mut or_b)
-        .zip(&mut oi_b)
-        .zip((&mut wr_b).zip(&mut wi_b))
-    {
-        for j in 0..F32_LANES {
-            let pr = or_c[j] * wr_c[j] - oi_c[j] * wi_c[j];
-            let pi = or_c[j] * wi_c[j] + oi_c[j] * wr_c[j];
-            let er = er_c[j];
-            let ei = ei_c[j];
-            er_c[j] = er + pr;
-            ei_c[j] = ei + pi;
-            or_c[j] = er - pr;
-            oi_c[j] = ei - pi;
-        }
-    }
-    for ((((er, ei), or_), oi), (wr, wi)) in er_b
-        .into_remainder()
-        .iter_mut()
-        .zip(ei_b.into_remainder().iter_mut())
-        .zip(or_b.into_remainder().iter_mut())
-        .zip(oi_b.into_remainder().iter_mut())
-        .zip(wr_b.remainder().iter().zip(wi_b.remainder().iter()))
-    {
-        let pr = *or_ * *wr - *oi * *wi;
-        let pi = *or_ * *wi + *oi * *wr;
-        let er0 = *er;
-        let ei0 = *ei;
-        *er = er0 + pr;
-        *ei = ei0 + pi;
-        *or_ = er0 - pr;
-        *oi = ei0 - pi;
-    }
-}
-
-/// One whole small-half butterfly stage (`half = w_re.len() < F32_LANES`) in
-/// a single flat pass; the f32 twin of [`butterfly_f64_small`].
-#[inline]
-pub fn butterfly_f32_small(re: &mut [f32], im: &mut [f32], w_re: &[f32], w_im: &[f32]) {
-    debug_assert_eq!(w_re.len(), w_im.len());
-    debug_assert_eq!(re.len() % (2 * w_re.len().max(1)), 0);
-    match w_re.len() {
-        1 => small_stage_f32::<1>(re, im, w_re, w_im),
-        2 => small_stage_f32::<2>(re, im, w_re, w_im),
-        4 => small_stage_f32::<4>(re, im, w_re, w_im),
-        half => {
-            let mut start = 0usize;
-            while start < re.len() {
-                let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
-                let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                butterfly_f32(e_re, e_im, o_re, o_im, w_re, w_im);
-                start += half << 1;
-            }
-        }
-    }
-}
-
-#[inline]
-fn small_stage_f32<const HALF: usize>(re: &mut [f32], im: &mut [f32], w_re: &[f32], w_im: &[f32]) {
-    let mut wr = [0.0f32; HALF];
-    let mut wi = [0.0f32; HALF];
+    let mut wr = [T::ZERO; HALF];
+    let mut wi = [T::ZERO; HALF];
     wr.copy_from_slice(&w_re[..HALF]);
     wi.copy_from_slice(&w_im[..HALF]);
     for (rc, ic) in re
@@ -331,16 +273,16 @@ fn small_stage_f32<const HALF: usize>(re: &mut [f32], im: &mut [f32], w_re: &[f3
 /// (stage half=1 at `[0..1]`, half=2 at `[1..3]`, half=4 at `[3..7]`);
 /// `re.len()` must be a multiple of 8.
 #[inline]
-pub fn butterfly_f32_first3(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im: &[f32]) {
+pub fn butterfly_first3<T: LaneFloat>(re: &mut [T], im: &mut [T], tw_re: &[T], tw_im: &[T]) {
     debug_assert!(tw_re.len() >= 7 && tw_im.len() >= 7);
     debug_assert_eq!(re.len() % 8, 0);
     debug_assert_eq!(re.len(), im.len());
-    let mut w = [0.0f32; 14];
+    let mut w = [T::ZERO; 14];
     w[..7].copy_from_slice(&tw_re[..7]);
     w[7..].copy_from_slice(&tw_im[..7]);
     for (rc, ic) in re.chunks_exact_mut(8).zip(im.chunks_exact_mut(8)) {
-        let mut r = [0.0f32; 8];
-        let mut q = [0.0f32; 8];
+        let mut r = [T::ZERO; 8];
+        let mut q = [T::ZERO; 8];
         r.copy_from_slice(rc);
         q.copy_from_slice(ic);
         // Stage half=1: pairs (0,1) (2,3) (4,5) (6,7), twiddle w[0].
@@ -396,13 +338,13 @@ pub fn butterfly_f32_first3(re: &mut [f32], im: &mut [f32], tw_re: &[f32], tw_im
 /// `re.len()` must be a multiple of `4h`; `wb_*` must hold the `2h`
 /// twiddles of the second stage.
 #[inline]
-pub fn butterfly_f32_pair(
-    re: &mut [f32],
-    im: &mut [f32],
-    wa_re: &[f32],
-    wa_im: &[f32],
-    wb_re: &[f32],
-    wb_im: &[f32],
+pub fn butterfly_pair<T: LaneFloat>(
+    re: &mut [T],
+    im: &mut [T],
+    wa_re: &[T],
+    wa_im: &[T],
+    wb_re: &[T],
+    wb_im: &[T],
 ) {
     let h = wa_re.len();
     debug_assert_eq!(wa_im.len(), h);
@@ -453,23 +395,23 @@ pub fn butterfly_f32_pair(
     }
 }
 
-/// Pointwise complex product `x[k] ← x[k] · t[k]` in SoA form, f32 lanes.
+/// Pointwise complex product `x[k] ← x[k] · t[k]` in SoA form.
 #[inline]
-pub fn cmul_f32(x_re: &mut [f32], x_im: &mut [f32], t_re: &[f32], t_im: &[f32]) {
+pub fn cmul<T: LaneFloat>(x_re: &mut [T], x_im: &mut [T], t_re: &[T], t_im: &[T]) {
     let n = x_re.len();
     assert!(
         x_im.len() == n && t_re.len() == n && t_im.len() == n,
-        "cmul_f32 slice lengths must match"
+        "cmul slice lengths must match"
     );
     let mut k = 0usize;
-    while k + F32_LANES <= n {
-        for j in 0..F32_LANES {
+    while k + T::LANES <= n {
+        for j in 0..T::LANES {
             let xr = x_re[k + j];
             let xi = x_im[k + j];
             x_re[k + j] = xr * t_re[k + j] - xi * t_im[k + j];
             x_im[k + j] = xr * t_im[k + j] + xi * t_re[k + j];
         }
-        k += F32_LANES;
+        k += T::LANES;
     }
     while k < n {
         let xr = x_re[k];
@@ -480,9 +422,9 @@ pub fn cmul_f32(x_re: &mut [f32], x_im: &mut [f32], t_re: &[f32], t_im: &[f32]) 
     }
 }
 
-/// Scales both components by a real factor, f32 lanes.
+/// Scales both components by a real factor.
 #[inline]
-pub fn scale_f32(re: &mut [f32], im: &mut [f32], s: f32) {
+pub fn scale<T: LaneFloat>(re: &mut [T], im: &mut [T], s: T) {
     for x in re.iter_mut() {
         *x *= s;
     }
@@ -568,7 +510,7 @@ pub fn butterfly_q15(
 }
 
 /// One whole small-half BFP butterfly stage (`half = w_re.len() < I32_LANES`)
-/// in a single flat pass; the Q15 twin of [`butterfly_f64_small`], with the
+/// in a single flat pass; the Q15 twin of [`butterfly_small`], with the
 /// stage shift fused exactly as in [`butterfly_q15`].
 #[inline]
 #[allow(clippy::too_many_arguments)]
@@ -714,21 +656,22 @@ pub fn renormalize_up_i32(re: &mut [i32], im: &mut [i32], guard: i32) -> u32 {
 mod tests {
     use super::*;
 
-    fn seq_f64(n: usize, phase: f64) -> Vec<f64> {
-        (0..n).map(|i| ((i as f64) * 0.37 + phase).sin()).collect()
+    fn seq<T: LaneFloat>(n: usize, phase: f64) -> Vec<T> {
+        (0..n)
+            .map(|i| T::from_f64(((i as f64) * 0.37 + phase).sin()))
+            .collect()
     }
 
     /// The lane butterfly must be bit-identical to a naive scalar loop over
     /// the same expressions, including the non-multiple-of-lane tail.
-    #[test]
-    fn f64_butterfly_matches_scalar_bitwise() {
-        for half in [1usize, 3, 4, 7, 8, 13, 64, 100] {
-            let mut e_re = seq_f64(half, 0.0);
-            let mut e_im = seq_f64(half, 1.0);
-            let mut o_re = seq_f64(half, 2.0);
-            let mut o_im = seq_f64(half, 3.0);
-            let w_re = seq_f64(half, 4.0);
-            let w_im = seq_f64(half, 5.0);
+    fn butterfly_matches_scalar<T: LaneFloat>() {
+        for half in [1usize, 3, 4, 7, 8, 9, 13, 16, 64, 100] {
+            let mut e_re = seq::<T>(half, 0.0);
+            let mut e_im = seq::<T>(half, 1.0);
+            let mut o_re = seq::<T>(half, 2.0);
+            let mut o_im = seq::<T>(half, 3.0);
+            let w_re = seq::<T>(half, 4.0);
+            let w_im = seq::<T>(half, 5.0);
             let (mut se_re, mut se_im) = (e_re.clone(), e_im.clone());
             let (mut so_re, mut so_im) = (o_re.clone(), o_im.clone());
             for k in 0..half {
@@ -741,7 +684,7 @@ mod tests {
                 so_re[k] = er - pr;
                 so_im[k] = ei - pi;
             }
-            butterfly_f64(&mut e_re, &mut e_im, &mut o_re, &mut o_im, &w_re, &w_im);
+            butterfly(&mut e_re, &mut e_im, &mut o_re, &mut o_im, &w_re, &w_im);
             assert_eq!(e_re, se_re);
             assert_eq!(e_im, se_im);
             assert_eq!(o_re, so_re);
@@ -750,32 +693,13 @@ mod tests {
     }
 
     #[test]
+    fn f64_butterfly_matches_scalar_bitwise() {
+        butterfly_matches_scalar::<f64>();
+    }
+
+    #[test]
     fn f32_butterfly_matches_scalar_bitwise() {
-        for half in [1usize, 7, 8, 9, 16, 100] {
-            let mut e_re: Vec<f32> = seq_f64(half, 0.0).iter().map(|&x| x as f32).collect();
-            let mut e_im: Vec<f32> = seq_f64(half, 1.0).iter().map(|&x| x as f32).collect();
-            let mut o_re: Vec<f32> = seq_f64(half, 2.0).iter().map(|&x| x as f32).collect();
-            let mut o_im: Vec<f32> = seq_f64(half, 3.0).iter().map(|&x| x as f32).collect();
-            let w_re: Vec<f32> = seq_f64(half, 4.0).iter().map(|&x| x as f32).collect();
-            let w_im: Vec<f32> = seq_f64(half, 5.0).iter().map(|&x| x as f32).collect();
-            let (mut se_re, mut se_im) = (e_re.clone(), e_im.clone());
-            let (mut so_re, mut so_im) = (o_re.clone(), o_im.clone());
-            for k in 0..half {
-                let pr = so_re[k] * w_re[k] - so_im[k] * w_im[k];
-                let pi = so_re[k] * w_im[k] + so_im[k] * w_re[k];
-                let er = se_re[k];
-                let ei = se_im[k];
-                se_re[k] = er + pr;
-                se_im[k] = ei + pi;
-                so_re[k] = er - pr;
-                so_im[k] = ei - pi;
-            }
-            butterfly_f32(&mut e_re, &mut e_im, &mut o_re, &mut o_im, &w_re, &w_im);
-            assert_eq!(e_re, se_re);
-            assert_eq!(e_im, se_im);
-            assert_eq!(o_re, so_re);
-            assert_eq!(o_im, so_im);
-        }
+        butterfly_matches_scalar::<f32>();
     }
 
     #[test]
@@ -828,13 +752,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pointwise_products_match_scalar_bitwise() {
-        let n = 37; // exercises both the lane body and the tail
-        let mut x_re = seq_f64(n, 0.3);
-        let mut x_im = seq_f64(n, 1.3);
-        let t_re = seq_f64(n, 2.3);
-        let t_im = seq_f64(n, 3.3);
+    fn cmul_matches_scalar<T: LaneFloat>(n: usize) {
+        let mut x_re = seq::<T>(n, 0.3);
+        let mut x_im = seq::<T>(n, 1.3);
+        let t_re = seq::<T>(n, 2.3);
+        let t_im = seq::<T>(n, 3.3);
         let (mut sx_re, mut sx_im) = (x_re.clone(), x_im.clone());
         for k in 0..n {
             let xr = sx_re[k];
@@ -842,9 +764,16 @@ mod tests {
             sx_re[k] = xr * t_re[k] - xi * t_im[k];
             sx_im[k] = xr * t_im[k] + xi * t_re[k];
         }
-        cmul_f64(&mut x_re, &mut x_im, &t_re, &t_im);
+        cmul(&mut x_re, &mut x_im, &t_re, &t_im);
         assert_eq!(x_re, sx_re);
         assert_eq!(x_im, sx_im);
+    }
+
+    #[test]
+    fn pointwise_products_match_scalar_bitwise() {
+        let n = 37; // exercises both the lane body and the tail
+        cmul_matches_scalar::<f64>(n);
+        cmul_matches_scalar::<f32>(n);
 
         let mut q_re: Vec<i32> = (0..n).map(|i| ((i * 991) % 65536) as i32 - 32768).collect();
         let mut q_im: Vec<i32> = (0..n).map(|i| ((i * 457) % 65536) as i32 - 32768).collect();

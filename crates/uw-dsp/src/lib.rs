@@ -3,7 +3,8 @@
 //! Everything the ranging and communication layers need is implemented here
 //! from scratch (the workspace deliberately avoids external DSP crates):
 //!
-//! * [`complex`] — a small `Complex64` type with the arithmetic the FFT needs.
+//! * [`complex`] — a small [`Complex`] type (`Complex64` / `Complex32`) with
+//!   the arithmetic the FFT needs.
 //! * [`fft`] — iterative radix-2 FFT / inverse FFT and real-signal helpers.
 //! * [`correlation`] — direct and FFT-based cross-correlation, normalised
 //!   correlation, and the 4-segment auto-correlation validation used for
@@ -25,24 +26,27 @@
 //! * [`spectrum`] — per-subcarrier SNR estimation (paper Fig. 22).
 //! * [`plan`] — plan-based FFT execution: [`FftPlan`] / [`FftPlanner`] /
 //!   [`PlanPool`] with precomputed bit-reversal, twiddle tables and cached
-//!   Bluestein chirp state.
+//!   Bluestein chirp state, generic over the lane float ([`LaneFloat`]:
+//!   `f64`, the default oracle, or `f32`, the phone-float path with twice
+//!   the SIMD lanes per register).
 //! * [`matched`] — [`MatchedFilter`]: overlap-save streaming correlation
-//!   against a fixed template with folded normalisation.
+//!   against a fixed template through a real-input (pack-trick) transform,
+//!   with folded normalisation; generic over the same lane float.
 //! * [`fixed`] — the on-device Q15 fixed-point path: [`Q15`]/[`ComplexQ15`]
 //!   saturating integer arithmetic, the block-floating-point
 //!   [`FixedFftPlan`], and the [`Q15MatchedFilter`], selected through the
 //!   [`NumericPath`] knob higher layers thread down.
-//! * [`float32`] — the single-precision phone-float path:
-//!   [`F32FftPlan`]/[`F32MatchedFilter`] mirrors of the plan layer with
-//!   twice the SIMD lanes per register.
-//! * [`lanes`] — the fixed-width structure-of-arrays lane kernels
-//!   (`[f64; 4]`/`[f32; 8]`/`[i32; 8]`) all three numeric paths execute
-//!   their butterflies and pointwise products through.
+//! * [`lanes`] — the fixed-width structure-of-arrays lane kernels (one
+//!   float set generic over `[f64; 4]`/`[f32; 8]`, plus `[i32; 8]` for
+//!   Q15) all three numeric paths execute their butterflies and pointwise
+//!   products through.
 //!
 //! All functions operate on `f64` sample buffers at a nominal 44.1 kHz
 //! sampling rate (the rate exposed by commodity smart devices underwater).
-//! The [`fixed`] module quantises at its boundaries and computes its hot
-//! loops in 16-bit integers, modelling what shipping phone DSP does.
+//! The `f32` plan and filter instantiations cast at their boundaries and
+//! compute in single precision; the [`fixed`] module quantises at its
+//! boundaries and computes its hot loops in 16-bit integers, modelling what
+//! shipping phone DSP does.
 //!
 //! ## Performance notes: plan caching and when to use what
 //!
@@ -62,13 +66,13 @@
 //!   **allocation-free** (enforced by a counting-allocator test) and run
 //!   ~2.4× faster than [`fft::fft_any`] at 1920 samples.
 //! * **Correlating many streams against one template** → build a
-//!   [`MatchedFilter`] once. It stores the template's conjugated spectrum
-//!   at a fixed block length (`next_pow2(4 · template_len)`) and correlates
-//!   arbitrarily long signals by overlap-save — many small cached-plan FFTs
-//!   instead of one `next_pow2(signal + template)` monster FFT per call —
-//!   with the prefix-sum normalisation of
-//!   [`correlation::xcorr_normalized`] folded into the same pass (~2.5×
-//!   on the 65k-sample detection stream). Use one-shot
+//!   [`MatchedFilter`] once. It stores the template's conjugated
+//!   half-spectrum at a fixed block length (`next_pow2(2 · template_len)`,
+//!   plus a half-size leg for the final partial block) and correlates
+//!   arbitrarily long signals by overlap-save — many small cached-plan
+//!   half-length FFTs instead of one `next_pow2(signal + template)` monster
+//!   FFT per call — with the prefix-sum normalisation of
+//!   [`correlation::xcorr_normalized`] folded into the same pass. Use one-shot
 //!   [`correlation::xcorr_fft`] only for ad-hoc correlations where the
 //!   template changes every call.
 //! * **Sharing plans across threads** → [`PlanPool`] checks plans in and
@@ -116,10 +120,13 @@
 //!   `q15_matched_filter_65k` ≈ 5.7 ms vs 3.1 ms). With the `[i32; 8]`
 //!   lane kernels the i32 arithmetic vectorizes too and the gap closes:
 //!   ≈ 23 µs vs 19 µs on the 2048-point transform and ≈ 3.1 ms vs
-//!   3.2 ms on the 65k matched filter (`BENCH_pipeline.json`) — parity
-//!   or slightly better. The point of the axis was never an x86 speedup:
-//!   it models the numeric behaviour of the integer DSPs phones actually
-//!   ship and tracks both paths' costs over time.
+//!   3.2 ms on the 65k matched filter — parity or slightly better. Since
+//!   the float filter became a real-input (pack-trick) design, the f64
+//!   65k correlation is ~4.5× faster than Q15's complex-FFT filter
+//!   (~0.33 ms vs ~1.5 ms on a 2-vCPU EPYC host, `BENCH_pipeline.json`).
+//!   The point of the axis was never an x86 speedup: it models the
+//!   numeric behaviour of the integer DSPs phones actually ship and
+//!   tracks both paths' costs over time.
 //!
 //! ## Performance notes: structure-of-arrays lane kernels
 //!
@@ -149,22 +156,23 @@
 //!   change answers. The interleaved entry points deinterleave into pooled
 //!   SoA scratch at the boundary; SoA-native callers (the matched
 //!   filters) never interleave at all.
-//! * **Measured effect** (noisy x86 CI container, medians from
-//!   `BENCH_pipeline.json`): the Q15 radix-2 2048 transform dropped
-//!   ~56 µs → ~23 µs and the Q15 65k matched filter ~5.7 ms → ~3.1 ms —
-//!   from 2× slower than f64 to parity or slightly better. The f64
-//!   radix-2 2048 transform dropped ~25 µs → ~19 µs, while the f64 65k
-//!   matched filter stays ~3.1–3.2 ms: its 65536-sample double-precision
-//!   blocks are memory-bound, so wider lanes alone cannot move it. The
-//!   f32 path is where the hot loop now lives: the same 65k correlation
-//!   runs in ~0.5 ms (half-width samples, a half-length real-input FFT
-//!   per overlap-save block, and a half-size tail leg for the final
-//!   partial block — see [`float32::F32MatchedFilter`]). On NEON phones
-//!   the f32/i16 lane widths double the gain again.
-//! * **Batched correlation.** `correlate_normalized_batch` on all three
-//!   filters pushes N links' captures through one scratch checkout,
-//!   walking blocks column-major so the template spectrum stays cache-hot
-//!   across links — the entry point `uw-serve`'s shard workers use.
+//! * **One kernel set, two float widths.** The float kernels are generic
+//!   over the sealed [`LaneFloat`] trait, so the f64 oracle and the f32
+//!   phone path run the same code and the same real-input matched filter.
+//!   Two per-type constants tune it: the lane width (`[f64; 4]` vs
+//!   `[f32; 8]`) and whether FFT stages are fused (f32 runs the first
+//!   three stages in one sweep of closed 8-point cells and later stages in
+//!   pairs; f64 measured faster one stage per sweep).
+//! * **The real-input pack trick.** Both the overlap-save block and the
+//!   template are real, so [`MatchedFilter`] packs two real samples per
+//!   complex bin and runs two half-length FFTs per block plus one fused
+//!   untangle → product → re-pack sweep, with a half-size tail leg for the
+//!   final partial block. Every float path gets this: f64 preamble
+//!   detection and the f64 burst scanner as well as the f32 phone path,
+//!   which on top of it has half-width samples and twice the lanes.
+//!   `BENCH_pipeline.json` records both (`preamble_correlation_65k_stream`
+//!   for f64, `preamble_correlation_65k` for f32). On NEON phones the
+//!   f32/i16 lane widths double the gain again.
 //!
 //! ## Example
 //!
@@ -195,7 +203,8 @@ pub mod complex;
 pub mod correlation;
 pub mod fft;
 pub mod fixed;
-pub mod float32;
+#[cfg(test)]
+mod float32;
 pub mod fsk;
 pub mod lanes;
 pub mod matched;
@@ -207,9 +216,9 @@ pub mod spectrum;
 pub mod window;
 pub mod zc;
 
-pub use complex::Complex64;
+pub use complex::{Complex, Complex32, Complex64};
 pub use fixed::{ComplexQ15, FixedFftPlan, FixedPlanPool, NumericPath, Q15MatchedFilter, Q15};
-pub use float32::{Complex32, F32FftPlan, F32MatchedFilter, F32PlanPool};
+pub use lanes::LaneFloat;
 pub use matched::MatchedFilter;
 pub use plan::{FftPlan, FftPlanner, PlanPool};
 

@@ -16,68 +16,103 @@
 //! [`PlanPool`] shares plans of one fixed length across threads without
 //! serialising the transforms themselves.
 //!
+//! ## One plan layer, two float types
+//!
+//! [`Radix2Plan`], [`FftPlan`] and [`PlanPool`] are generic over the
+//! sealed [`LaneFloat`] trait: `f64` (the default — the oracle path) and
+//! `f32` (the phone path, twice the SIMD lanes per register). Every table
+//! — twiddles, Bluestein chirp and chirp spectrum — is computed in `f64`
+//! and rounded to `T` once, so an f32 plan's table error is ½ ULP rather
+//! than accumulated. The differential harness (`tests/fixed_vs_float.rs`)
+//! pins the f32 instantiation against the f64 oracle (≥ 100 dB SQNR for
+//! radix-2 forward transforms, ≥ 95 dB for round-trips, ≥ 85 dB for
+//! Bluestein at the paper's symbol length).
+//!
 //! ## Lane-kernel execution
 //!
-//! Since the vectorization pass, the butterflies run in **structure-of-
-//! arrays** form: twiddle tables are stored as separate `re[]` / `im[]`
-//! vectors and the transform executes on split real/imaginary buffers
-//! through the fixed-width `[f64; 4]` kernels in [`crate::lanes`]. The
-//! public [`Radix2Plan::forward`] / [`Radix2Plan::inverse`] entry points
-//! keep their interleaved [`Complex64`] signatures — they deinterleave into
-//! a pooled SoA scratch (fusing the bit-reversal permutation into the
-//! gather), run the lane-kernel stages, and interleave back — while SoA
-//! callers like [`crate::matched::MatchedFilter`] use
-//! [`Radix2Plan::forward_soa`] / [`Radix2Plan::inverse_soa`] directly and
-//! never touch interleaved storage at all. The retired one-lane-per-sample
-//! implementation is retained as [`Radix2Plan::forward_scalar`] /
-//! [`Radix2Plan::inverse_scalar`]: the differential harness
-//! (`tests/fixed_vs_float.rs`) pins the lane path bit-identical to it, so
-//! vectorization can never silently change answers.
+//! The butterflies run in **structure-of-arrays** form: twiddle tables are
+//! stored as separate `re[]` / `im[]` vectors and the transform executes on
+//! split real/imaginary buffers through the fixed-width kernels in
+//! [`crate::lanes`]. `f32` fuses stages — the first three into one sweep of
+//! closed 8-point cells, later ones in pairs — while `f64` runs one stage
+//! per sweep, which measured faster for it ([`LaneFloat::FUSE_STAGES`]).
+//! The interleaved
+//! [`Radix2Plan::forward`] / [`Radix2Plan::inverse`] entry points take
+//! [`Complex<T>`] buffers — they deinterleave into a pooled SoA scratch
+//! (fusing the bit-reversal permutation into the gather), run the
+//! lane-kernel stages, and interleave back — while SoA callers like
+//! [`crate::matched::MatchedFilter`] use [`Radix2Plan::forward_soa`] /
+//! [`Radix2Plan::inverse_soa`] directly and never touch interleaved storage
+//! at all. The retired one-lane-per-sample implementation is retained as
+//! [`Radix2Plan::forward_scalar`] / [`Radix2Plan::inverse_scalar`]: the
+//! differential harness pins the lane path bit-identical to it on both
+//! float types, so vectorization can never silently change answers.
 
-use crate::complex::Complex64;
+use crate::complex::{Complex, Complex64};
 use crate::fft::{is_pow2, next_pow2};
-use crate::lanes;
+use crate::lanes::{self, LaneFloat};
 use crate::{DspError, Result};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Reusable SoA buffers for the interleaved entry points.
 #[derive(Debug, Default)]
-struct SoaScratch {
-    re: Vec<f64>,
-    im: Vec<f64>,
+struct SoaScratch<T> {
+    re: Vec<T>,
+    im: Vec<T>,
+}
+
+impl<T: LaneFloat> SoaScratch<T> {
+    fn new(n: usize) -> Self {
+        Self {
+            re: vec![T::ZERO; n],
+            im: vec![T::ZERO; n],
+        }
+    }
+}
+
+fn length_mismatch() -> DspError {
+    DspError::InvalidLength {
+        reason: "buffer length does not match the FFT plan length",
+    }
+}
+
+fn zero_length() -> DspError {
+    DspError::InvalidLength {
+        reason: "FFT plan length must be positive",
+    }
 }
 
 /// A radix-2 decimation-in-time FFT with precomputed bit-reversal and
-/// structure-of-arrays twiddle tables, executed through the `[f64; 4]`
-/// lane kernels in [`crate::lanes`]. The tables are read-only after
-/// construction; the small internal SoA scratch pool is mutex-guarded, so
-/// one plan can serve many threads concurrently.
-pub struct Radix2Plan {
+/// structure-of-arrays twiddle tables (computed in `f64`, rounded to `T`
+/// once), executed through the lane kernels in [`crate::lanes`]. The tables
+/// are read-only after construction; the small internal SoA scratch pool is
+/// mutex-guarded, so one plan can serve many threads concurrently.
+pub struct Radix2Plan<T: LaneFloat = f64> {
     n: usize,
     /// Bit-reversed index for every position (length `n`).
     bitrev: Vec<u32>,
     /// Forward twiddle real parts, concatenated per stage: stage `s`
     /// (butterfly half-width `2^s`) occupies indices
     /// `2^s - 1 .. 2^(s+1) - 1`.
-    tw_re_fwd: Vec<f64>,
+    tw_re_fwd: Vec<T>,
     /// Forward twiddle imaginary parts with the same layout.
-    tw_im_fwd: Vec<f64>,
+    tw_im_fwd: Vec<T>,
     /// Inverse twiddle real parts with the same layout.
-    tw_re_inv: Vec<f64>,
+    tw_re_inv: Vec<T>,
     /// Inverse twiddle imaginary parts with the same layout.
-    tw_im_inv: Vec<f64>,
+    tw_im_inv: Vec<T>,
     /// Pooled SoA buffers for the interleaved `forward`/`inverse` wrappers.
-    scratch: Mutex<Vec<SoaScratch>>,
+    scratch: Mutex<Vec<SoaScratch<T>>>,
 }
 
-impl std::fmt::Debug for Radix2Plan {
+impl<T: LaneFloat> std::fmt::Debug for Radix2Plan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Radix2Plan").field("n", &self.n).finish()
     }
 }
 
-impl Clone for Radix2Plan {
+impl<T: LaneFloat> Clone for Radix2Plan<T> {
     fn clone(&self) -> Self {
         Self {
             n: self.n,
@@ -86,21 +121,16 @@ impl Clone for Radix2Plan {
             tw_im_fwd: self.tw_im_fwd.clone(),
             tw_re_inv: self.tw_re_inv.clone(),
             tw_im_inv: self.tw_im_inv.clone(),
-            scratch: Mutex::new(vec![SoaScratch {
-                re: vec![0.0; self.n],
-                im: vec![0.0; self.n],
-            }]),
+            scratch: Mutex::new(vec![SoaScratch::new(self.n)]),
         }
     }
 }
 
-impl Radix2Plan {
+impl<T: LaneFloat> Radix2Plan<T> {
     /// Builds a plan for a power-of-two length `n ≥ 1`.
     pub fn new(n: usize) -> Result<Self> {
         if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
+            return Err(zero_length());
         }
         if !is_pow2(n) {
             return Err(DspError::InvalidLength {
@@ -126,11 +156,12 @@ impl Radix2Plan {
         while half < n {
             let ang = std::f64::consts::PI / half as f64;
             for k in 0..half {
+                // Computed in f64, rounded to T once: ½ ULP table error.
                 let w = Complex64::from_angle(-ang * k as f64);
-                tw_re_fwd.push(w.re);
-                tw_im_fwd.push(w.im);
-                tw_re_inv.push(w.re);
-                tw_im_inv.push(-w.im);
+                tw_re_fwd.push(T::from_f64(w.re));
+                tw_im_fwd.push(T::from_f64(w.im));
+                tw_re_inv.push(T::from_f64(w.re));
+                tw_im_inv.push(T::from_f64(-w.im));
             }
             half <<= 1;
         }
@@ -141,10 +172,7 @@ impl Radix2Plan {
             tw_im_fwd,
             tw_re_inv,
             tw_im_inv,
-            scratch: Mutex::new(vec![SoaScratch {
-                re: vec![0.0; n],
-                im: vec![0.0; n],
-            }]),
+            scratch: Mutex::new(vec![SoaScratch::new(n)]),
         })
     }
 
@@ -158,9 +186,26 @@ impl Radix2Plan {
         self.n == 0
     }
 
+    /// The 1/N normalisation factor of the inverse transform.
+    fn inv_n(&self) -> T {
+        T::ONE / T::from_f64(self.n as f64)
+    }
+
     /// In-place forward FFT (unnormalised). Allocation-free in steady state.
-    pub fn forward(&self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data.len())?;
+    pub fn forward(&self, data: &mut [Complex<T>]) -> Result<()> {
+        self.interleaved(data, true)
+    }
+
+    /// In-place inverse FFT (normalised by 1/N). Allocation-free in steady
+    /// state.
+    pub fn inverse(&self, data: &mut [Complex<T>]) -> Result<()> {
+        self.interleaved(data, false)
+    }
+
+    fn interleaved(&self, data: &mut [Complex<T>], forward: bool) -> Result<()> {
+        if data.len() != self.n {
+            return Err(length_mismatch());
+        }
         self.with_scratch(|re, im| {
             // Fuse the bit-reversal permutation into the deinterleave.
             for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
@@ -168,29 +213,12 @@ impl Radix2Plan {
                 *r = c.re;
                 *x = c.im;
             }
-            self.stages(re, im, true);
-            for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex64::new(*r, *x);
+            self.stages(re, im, forward);
+            if !forward {
+                lanes::scale(re, im, self.inv_n());
             }
-        });
-        Ok(())
-    }
-
-    /// In-place inverse FFT (normalised by 1/N). Allocation-free in steady
-    /// state.
-    pub fn inverse(&self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data.len())?;
-        let scale = 1.0 / self.n as f64;
-        self.with_scratch(|re, im| {
-            for (i, (r, x)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-                let c = data[self.bitrev[i] as usize];
-                *r = c.re;
-                *x = c.im;
-            }
-            self.stages(re, im, false);
-            lanes::scale_f64(re, im, scale);
             for (c, (r, x)) in data.iter_mut().zip(re.iter().zip(im.iter())) {
-                *c = Complex64::new(*r, *x);
+                *c = Complex::new(*r, *x);
             }
         });
         Ok(())
@@ -199,7 +227,7 @@ impl Radix2Plan {
     /// In-place forward FFT on split real/imaginary buffers (unnormalised).
     /// The native SoA entry point: no interleaving, no scratch checkout,
     /// allocation-free.
-    pub fn forward_soa(&self, re: &mut [f64], im: &mut [f64]) -> Result<()> {
+    pub fn forward_soa(&self, re: &mut [T], im: &mut [T]) -> Result<()> {
         self.check_soa(re, im)?;
         self.permute_soa(re, im);
         self.stages(re, im, true);
@@ -208,62 +236,64 @@ impl Radix2Plan {
 
     /// In-place inverse FFT on split real/imaginary buffers (normalised by
     /// 1/N). Allocation-free.
-    pub fn inverse_soa(&self, re: &mut [f64], im: &mut [f64]) -> Result<()> {
+    pub fn inverse_soa(&self, re: &mut [T], im: &mut [T]) -> Result<()> {
+        self.inverse_soa_unscaled(re, im)?;
+        lanes::scale(re, im, self.inv_n());
+        Ok(())
+    }
+
+    /// In-place inverse FFT on split real/imaginary buffers **without** the
+    /// 1/N normalisation pass. Callers that already fold the scale into a
+    /// precomputed spectrum (the overlap-save matched filter folds it into
+    /// the template) skip two full memory sweeps per call this way.
+    pub fn inverse_soa_unscaled(&self, re: &mut [T], im: &mut [T]) -> Result<()> {
         self.check_soa(re, im)?;
         self.permute_soa(re, im);
         self.stages(re, im, false);
-        lanes::scale_f64(re, im, 1.0 / self.n as f64);
         Ok(())
     }
 
     /// The retired one-lane-per-sample forward transform, kept as the
     /// reference the differential harness pins the lane kernels against
     /// (bit-identical output required).
-    pub fn forward_scalar(&self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data.len())?;
+    pub fn forward_scalar(&self, data: &mut [Complex<T>]) -> Result<()> {
+        if data.len() != self.n {
+            return Err(length_mismatch());
+        }
         self.transform_scalar(data, true);
         Ok(())
     }
 
     /// The retired one-lane-per-sample inverse transform (normalised by
     /// 1/N); reference twin of [`Radix2Plan::inverse`].
-    pub fn inverse_scalar(&self, data: &mut [Complex64]) -> Result<()> {
-        self.check(data.len())?;
+    pub fn inverse_scalar(&self, data: &mut [Complex<T>]) -> Result<()> {
+        if data.len() != self.n {
+            return Err(length_mismatch());
+        }
         self.transform_scalar(data, false);
-        let scale = 1.0 / self.n as f64;
+        let scale = self.inv_n();
         for x in data.iter_mut() {
             *x = *x * scale;
         }
         Ok(())
     }
 
-    fn check(&self, len: usize) -> Result<()> {
-        if len != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
-        }
-        Ok(())
-    }
-
-    fn check_soa(&self, re: &[f64], im: &[f64]) -> Result<()> {
+    fn check_soa(&self, re: &[T], im: &[T]) -> Result<()> {
         if re.len() != self.n || im.len() != self.n {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
+            return Err(length_mismatch());
         }
         Ok(())
     }
 
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut [f64], &mut [f64]) -> R) -> R {
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut [T], &mut [T]) -> R) -> R {
         let mut buf = self
             .scratch
             .lock()
             .expect("radix-2 scratch pool poisoned")
             .pop()
             .unwrap_or_default();
-        buf.re.resize(self.n, 0.0);
-        buf.im.resize(self.n, 0.0);
+        buf.re.resize(self.n, T::ZERO);
+        buf.im.resize(self.n, T::ZERO);
         let result = f(&mut buf.re, &mut buf.im);
         self.scratch
             .lock()
@@ -273,7 +303,7 @@ impl Radix2Plan {
     }
 
     /// In-place bit-reversal permutation on SoA buffers.
-    fn permute_soa(&self, re: &mut [f64], im: &mut [f64]) {
+    fn permute_soa(&self, re: &mut [T], im: &mut [T]) {
         for i in 0..self.n {
             let j = self.bitrev[i] as usize;
             if j > i {
@@ -285,7 +315,7 @@ impl Radix2Plan {
 
     /// Runs the butterfly stages on bit-reversed SoA data through the lane
     /// kernels.
-    fn stages(&self, re: &mut [f64], im: &mut [f64], forward: bool) {
+    fn stages(&self, re: &mut [T], im: &mut [T], forward: bool) {
         let n = self.n;
         if n == 1 {
             return;
@@ -296,28 +326,43 @@ impl Radix2Plan {
             (&self.tw_re_inv, &self.tw_im_inv)
         };
         let mut half = 1usize;
+        if T::FUSE_STAGES && n >= 8 {
+            // Stages half=1,2,4 fused into one sweep of closed 8-point
+            // cells (see `butterfly_first3`).
+            lanes::butterfly_first3(re, im, &twr[0..7], &twi[0..7]);
+            half = 8;
+        }
         while half < n {
             // Table slice for this stage (see the layout note on the field).
             let swr = &twr[half - 1..2 * half - 1];
             let swi = &twi[half - 1..2 * half - 1];
-            if half < lanes::F64_LANES {
-                // Early stages have sub-lane groups; run the whole stage in
-                // one flat kernel pass instead of n/(2·half) tiny calls.
-                lanes::butterfly_f64_small(re, im, swr, swi);
+            if half < T::LANES {
+                // Sub-lane stages (all of them for unfused types, only
+                // n < 8 otherwise) run as one flat kernel pass instead of
+                // n/(2·half) tiny calls.
+                lanes::butterfly_small(re, im, swr, swi);
+                half <<= 1;
+            } else if T::FUSE_STAGES && half * 2 < n {
+                // Two more stages exist: fuse this stage with the next one
+                // into a single radix-4-cell sweep.
+                let nwr = &twr[2 * half - 1..4 * half - 1];
+                let nwi = &twi[2 * half - 1..4 * half - 1];
+                lanes::butterfly_pair(re, im, swr, swi, nwr, nwi);
+                half <<= 2;
             } else {
                 let mut start = 0usize;
                 while start < n {
                     let (e_re, o_re) = re[start..start + 2 * half].split_at_mut(half);
                     let (e_im, o_im) = im[start..start + 2 * half].split_at_mut(half);
-                    lanes::butterfly_f64(e_re, e_im, o_re, o_im, swr, swi);
+                    lanes::butterfly(e_re, e_im, o_re, o_im, swr, swi);
                     start += half << 1;
                 }
+                half <<= 1;
             }
-            half <<= 1;
         }
     }
 
-    fn transform_scalar(&self, data: &mut [Complex64], forward: bool) {
+    fn transform_scalar(&self, data: &mut [Complex<T>], forward: bool) {
         let n = self.n;
         if n == 1 {
             return;
@@ -344,8 +389,8 @@ impl Radix2Plan {
                     let odd = data[start + k + half];
                     let pr = odd.re * swr[k] - odd.im * swi[k];
                     let pi = odd.re * swi[k] + odd.im * swr[k];
-                    data[start + k] = Complex64::new(even.re + pr, even.im + pi);
-                    data[start + k + half] = Complex64::new(even.re - pr, even.im - pi);
+                    data[start + k] = Complex::new(even.re + pr, even.im + pi);
+                    data[start + k + half] = Complex::new(even.re - pr, even.im - pi);
                 }
                 start += half << 1;
             }
@@ -355,25 +400,28 @@ impl Radix2Plan {
 }
 
 /// Bluestein (chirp-z) state for one non-power-of-two length, held in SoA
-/// form so every step runs through the lane kernels.
+/// form so every step runs through the lane kernels. The chirp and its
+/// spectrum are computed in `f64` and rounded to `T` once, so the
+/// convolution kernel carries ½-ULP table error rather than a reduced-
+/// precision FFT's accumulated error.
 #[derive(Debug, Clone)]
-struct BluesteinPlan {
+struct BluesteinPlan<T: LaneFloat> {
     /// Inner radix-2 plan of length `m = next_pow2(2n − 1)`.
-    inner: Radix2Plan,
+    inner: Radix2Plan<T>,
     /// Real parts of the chirp `w[j] = exp(−iπ j²/n)`, length `n`.
-    chirp_re: Vec<f64>,
+    chirp_re: Vec<T>,
     /// Imaginary parts of the chirp, length `n`.
-    chirp_im: Vec<f64>,
+    chirp_im: Vec<T>,
     /// Real parts of the FFT of the symmetrically extended conjugate chirp.
-    spec_re: Vec<f64>,
+    spec_re: Vec<T>,
     /// Imaginary parts of the chirp spectrum, length `m`.
-    spec_im: Vec<f64>,
+    spec_im: Vec<T>,
     /// Reusable SoA convolution buffers, length `m`.
-    scratch_re: Vec<f64>,
-    scratch_im: Vec<f64>,
+    scratch_re: Vec<T>,
+    scratch_im: Vec<T>,
 }
 
-impl BluesteinPlan {
+impl<T: LaneFloat> BluesteinPlan<T> {
     fn new(n: usize) -> Result<Self> {
         let m = next_pow2(2 * n - 1);
         let inner = Radix2Plan::new(m)?;
@@ -395,48 +443,48 @@ impl BluesteinPlan {
                 spec_im[m - j] = c.im;
             }
         }
-        inner.forward_soa(&mut spec_re, &mut spec_im)?;
+        Radix2Plan::<f64>::new(m)?.forward_soa(&mut spec_re, &mut spec_im)?;
+        let round = |v: &[f64]| -> Vec<T> { v.iter().map(|&x| T::from_f64(x)).collect() };
         Ok(Self {
             inner,
-            chirp_re: chirp.iter().map(|c| c.re).collect(),
-            chirp_im: chirp.iter().map(|c| c.im).collect(),
-            spec_re,
-            spec_im,
-            scratch_re: vec![0.0; m],
-            scratch_im: vec![0.0; m],
+            chirp_re: chirp.iter().map(|c| T::from_f64(c.re)).collect(),
+            chirp_im: chirp.iter().map(|c| T::from_f64(c.im)).collect(),
+            spec_re: round(&spec_re),
+            spec_im: round(&spec_im),
+            scratch_re: vec![T::ZERO; m],
+            scratch_im: vec![T::ZERO; m],
         })
     }
 
     /// In-place forward DFT of length `n` via chirp-z. Allocation-free.
-    fn forward(&mut self, data: &mut [Complex64]) -> Result<()> {
+    fn forward(&mut self, data: &mut [Complex<T>]) -> Result<()> {
         let n = data.len();
         let m = self.scratch_re.len();
         let (s_re, s_im) = (&mut self.scratch_re, &mut self.scratch_im);
-        for j in 0..n {
-            let d = data[j];
+        for (j, d) in data.iter().enumerate() {
             let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
             s_re[j] = d.re * cr - d.im * ci;
             s_im[j] = d.re * ci + d.im * cr;
         }
         for j in n..m {
-            s_re[j] = 0.0;
-            s_im[j] = 0.0;
+            s_re[j] = T::ZERO;
+            s_im[j] = T::ZERO;
         }
         self.inner.forward_soa(s_re, s_im)?;
-        lanes::cmul_f64(s_re, s_im, &self.spec_re, &self.spec_im);
+        lanes::cmul(s_re, s_im, &self.spec_re, &self.spec_im);
         self.inner.inverse_soa(s_re, s_im)?;
         for (j, d) in data.iter_mut().enumerate() {
             let (sr, si) = (s_re[j], s_im[j]);
             let (cr, ci) = (self.chirp_re[j], self.chirp_im[j]);
-            *d = Complex64::new(sr * cr - si * ci, sr * ci + si * cr);
+            *d = Complex::new(sr * cr - si * ci, sr * ci + si * cr);
         }
         Ok(())
     }
 }
 
-enum PlanKind {
-    Radix2(Radix2Plan),
-    Bluestein(BluesteinPlan),
+enum PlanKind<T: LaneFloat> {
+    Radix2(Radix2Plan<T>),
+    Bluestein(BluesteinPlan<T>),
 }
 
 /// A reusable FFT plan for one fixed transform length (any length ≥ 1).
@@ -446,12 +494,12 @@ enum PlanKind {
 /// calls on a constructed plan perform **no heap allocation** — the scratch
 /// the Bluestein path needs lives inside the plan, which is why the
 /// processing methods take `&mut self`.
-pub struct FftPlan {
+pub struct FftPlan<T: LaneFloat = f64> {
     len: usize,
-    kind: PlanKind,
+    kind: PlanKind<T>,
 }
 
-impl std::fmt::Debug for FftPlan {
+impl<T: LaneFloat> std::fmt::Debug for FftPlan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.kind {
             PlanKind::Radix2(_) => "radix-2",
@@ -464,13 +512,11 @@ impl std::fmt::Debug for FftPlan {
     }
 }
 
-impl FftPlan {
+impl<T: LaneFloat> FftPlan<T> {
     /// Builds a plan for transforms of length `n` (any `n ≥ 1`).
     pub fn new(n: usize) -> Result<Self> {
         if n == 0 {
-            return Err(DspError::InvalidLength {
-                reason: "FFT plan length must be positive",
-            });
+            return Err(zero_length());
         }
         let kind = if is_pow2(n) {
             PlanKind::Radix2(Radix2Plan::new(n)?)
@@ -492,7 +538,7 @@ impl FftPlan {
 
     /// In-place forward DFT (unnormalised). Fails cleanly when `data` does
     /// not match the plan length; allocation-free otherwise.
-    pub fn process_forward(&mut self, data: &mut [Complex64]) -> Result<()> {
+    pub fn process_forward(&mut self, data: &mut [Complex<T>]) -> Result<()> {
         self.check(data)?;
         match &mut self.kind {
             PlanKind::Radix2(p) => p.forward(data),
@@ -502,7 +548,7 @@ impl FftPlan {
 
     /// In-place inverse DFT (normalised by 1/N). Fails cleanly when `data`
     /// does not match the plan length; allocation-free otherwise.
-    pub fn process_inverse(&mut self, data: &mut [Complex64]) -> Result<()> {
+    pub fn process_inverse(&mut self, data: &mut [Complex<T>]) -> Result<()> {
         self.check(data)?;
         match &mut self.kind {
             PlanKind::Radix2(p) => p.inverse(data),
@@ -512,7 +558,7 @@ impl FftPlan {
                     *x = x.conj();
                 }
                 p.forward(data)?;
-                let scale = 1.0 / self.len as f64;
+                let scale = T::ONE / T::from_f64(self.len as f64);
                 for x in data.iter_mut() {
                     *x = x.conj() * scale;
                 }
@@ -521,17 +567,15 @@ impl FftPlan {
         }
     }
 
-    fn check(&self, data: &[Complex64]) -> Result<()> {
+    fn check(&self, data: &[Complex<T>]) -> Result<()> {
         if data.len() != self.len {
-            return Err(DspError::InvalidLength {
-                reason: "buffer length does not match the FFT plan length",
-            });
+            return Err(length_mismatch());
         }
         Ok(())
     }
 }
 
-/// A cache of [`FftPlan`]s keyed by transform length.
+/// A cache of `f64` [`FftPlan`]s keyed by transform length.
 ///
 /// Holding a planner across calls turns repeated transforms of the same
 /// length into allocation-free table-driven passes; the first request for a
@@ -573,23 +617,23 @@ impl FftPlanner {
 
 /// A thread-safe pool of [`FftPlan`]s for **one fixed length**.
 ///
-/// `with` checks a plan out of the pool (cloning a fresh one only when every
-/// pooled plan is in use), runs the closure, and returns the plan to the
-/// pool. Concurrent users therefore never serialise on a shared plan's
+/// `with` checks a plan out of the pool (building a fresh one only when
+/// every pooled plan is in use), runs the closure, and returns the plan to
+/// the pool. Concurrent users therefore never serialise on a shared plan's
 /// scratch, and in steady state the pool size equals the peak concurrency —
 /// no per-call allocation.
-pub struct PlanPool {
+pub struct PlanPool<T: LaneFloat = f64> {
     len: usize,
-    pool: Mutex<Vec<FftPlan>>,
+    pool: Mutex<Vec<FftPlan<T>>>,
 }
 
-impl std::fmt::Debug for PlanPool {
+impl<T: LaneFloat> std::fmt::Debug for PlanPool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanPool").field("len", &self.len).finish()
     }
 }
 
-impl Clone for PlanPool {
+impl<T: LaneFloat> Clone for PlanPool<T> {
     fn clone(&self) -> Self {
         Self {
             len: self.len,
@@ -598,7 +642,7 @@ impl Clone for PlanPool {
     }
 }
 
-impl PlanPool {
+impl<T: LaneFloat> PlanPool<T> {
     /// Creates a pool for transforms of length `n`, with one plan built
     /// eagerly so the first caller does not pay construction cost.
     pub fn new(n: usize) -> Result<Self> {
@@ -620,7 +664,7 @@ impl PlanPool {
     }
 
     /// Runs `f` with a checked-out plan.
-    pub fn with<R>(&self, f: impl FnOnce(&mut FftPlan) -> R) -> R {
+    pub fn with<R>(&self, f: impl FnOnce(&mut FftPlan<T>) -> R) -> R {
         let plan = self.pool.lock().expect("plan pool poisoned").pop();
         let mut plan = match plan {
             Some(p) => p,
@@ -666,11 +710,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_path_is_bit_identical_to_the_scalar_reference() {
-        for n in [1usize, 2, 16, 256, 2048] {
-            let signal = test_signal(n);
-            let plan = Radix2Plan::new(n).unwrap();
+    fn cast<T: LaneFloat>(signal: &[Complex64]) -> Vec<Complex<T>> {
+        signal.iter().map(|&c| Complex::from_complex64(c)).collect()
+    }
+
+    fn lane_path_matches_scalar<T: LaneFloat>() {
+        for n in [1usize, 2, 4, 8, 16, 32, 256, 2048] {
+            let signal = cast::<T>(&test_signal(n));
+            let plan = Radix2Plan::<T>::new(n).unwrap();
             let mut lane = signal.clone();
             let mut scalar = signal.clone();
             plan.forward(&mut lane).unwrap();
@@ -683,14 +730,18 @@ mod tests {
     }
 
     #[test]
-    fn soa_entry_points_match_the_interleaved_wrappers() {
+    fn lane_path_is_bit_identical_to_the_scalar_reference() {
+        lane_path_matches_scalar::<f64>();
+    }
+
+    fn soa_matches_interleaved<T: LaneFloat>() {
         for n in [4usize, 64, 1024] {
-            let signal = test_signal(n);
-            let plan = Radix2Plan::new(n).unwrap();
+            let signal = cast::<T>(&test_signal(n));
+            let plan = Radix2Plan::<T>::new(n).unwrap();
             let mut aos = signal.clone();
             plan.forward(&mut aos).unwrap();
-            let mut re: Vec<f64> = signal.iter().map(|c| c.re).collect();
-            let mut im: Vec<f64> = signal.iter().map(|c| c.im).collect();
+            let mut re: Vec<T> = signal.iter().map(|c| c.re).collect();
+            let mut im: Vec<T> = signal.iter().map(|c| c.im).collect();
             plan.forward_soa(&mut re, &mut im).unwrap();
             for (c, (r, x)) in aos.iter().zip(re.iter().zip(im.iter())) {
                 assert_eq!(c.re, *r);
@@ -704,6 +755,11 @@ mod tests {
                 assert_eq!(c.im, *x);
             }
         }
+    }
+
+    #[test]
+    fn soa_entry_points_match_the_interleaved_wrappers() {
+        soa_matches_interleaved::<f64>();
     }
 
     #[test]
@@ -775,10 +831,10 @@ mod tests {
             .inverse_scalar(&mut vec![Complex64::ZERO; 16])
             .is_err());
 
-        assert!(FftPlan::new(0).is_err());
-        assert!(Radix2Plan::new(0).is_err());
-        assert!(Radix2Plan::new(48).is_err());
-        assert!(PlanPool::new(0).is_err());
+        assert!(FftPlan::<f64>::new(0).is_err());
+        assert!(Radix2Plan::<f64>::new(0).is_err());
+        assert!(Radix2Plan::<f64>::new(48).is_err());
+        assert!(PlanPool::<f64>::new(0).is_err());
     }
 
     #[test]

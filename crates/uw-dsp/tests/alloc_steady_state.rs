@@ -1,8 +1,7 @@
 //! Verifies the plan layer's allocation contract with a counting global
 //! allocator: once a plan (or matched filter) is warmed up, steady-state
 //! processing performs **zero** heap allocations — on all three numeric
-//! paths (f64, f32, Q15), through the structure-of-arrays entry points,
-//! and through the batched multi-link correlation used by serving shards.
+//! paths (f64, f32, Q15) and through the structure-of-arrays entry points.
 //! Construction-time allocation counts are also recorded against loose
 //! budgets so a pathological regression (per-stage allocation, repeated
 //! table rebuilds) shows up as a test failure rather than a perf mystery.
@@ -13,9 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use uw_dsp::complex::Complex64;
+use uw_dsp::complex::{Complex32, Complex64};
 use uw_dsp::fixed::{ComplexQ15, FixedRadix2Plan, Q15MatchedFilter};
-use uw_dsp::float32::{Complex32, F32MatchedFilter, F32Radix2Plan};
 use uw_dsp::matched::MatchedFilter;
 use uw_dsp::plan::{FftPlan, Radix2Plan};
 
@@ -120,7 +118,7 @@ fn steady_state_processing_is_allocation_free() {
     // --- MatchedFilter streaming correlation into a reused buffer. ---
     let template: Vec<f64> = (0..500).map(|i| (i as f64 * 0.21).sin()).collect();
     let signal: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.17).cos()).collect();
-    let filter = MatchedFilter::new(&template).unwrap();
+    let filter = MatchedFilter::<f64>::new(&template).unwrap();
     let mut out = Vec::new();
     // Two warm-up passes: the first builds the pooled scratch and sizes
     // `out`; the second confirms the pool round-trip.
@@ -156,14 +154,14 @@ fn steady_state_processing_is_allocation_free() {
     assert_eq!(n, 0, "steady-state f64 SoA transforms allocated {n} times");
 
     // --- f32 lane-kernel plan, interleaved and SoA entry points. ---
-    let f32_plan = F32Radix2Plan::new(2048).unwrap();
+    let f32_plan = Radix2Plan::<f32>::new(2048).unwrap();
     let mut fbuf = vec![Complex32::new(0.5, 0.0); 2048];
     f32_plan.forward(&mut fbuf).unwrap();
     let n = allocations_during(|| {
         f32_plan.forward(&mut fbuf).unwrap();
         f32_plan.inverse(&mut fbuf).unwrap();
     });
-    assert_eq!(n, 0, "steady-state F32Radix2Plan allocated {n} times");
+    assert_eq!(n, 0, "steady-state Radix2Plan<f32> allocated {n} times");
     let mut fre = vec![0.5f32; 2048];
     let mut fim = vec![0.0f32; 2048];
     f32_plan.forward_soa(&mut fre, &mut fim).unwrap();
@@ -192,7 +190,7 @@ fn steady_state_processing_is_allocation_free() {
     assert_eq!(n, 0, "steady-state Q15 SoA transforms allocated {n} times");
 
     // --- f32 and Q15 matched filters, streaming into reused buffers. ---
-    let f32_filter = F32MatchedFilter::new(&template).unwrap();
+    let f32_filter = MatchedFilter::<f32>::new(&template).unwrap();
     f32_filter
         .correlate_normalized_into(&signal, &mut out)
         .unwrap();
@@ -206,7 +204,7 @@ fn steady_state_processing_is_allocation_free() {
     });
     assert_eq!(
         n, 0,
-        "steady-state F32MatchedFilter correlation allocated {n} times"
+        "steady-state MatchedFilter<f32> correlation allocated {n} times"
     );
 
     let q15_filter = Q15MatchedFilter::new(&template).unwrap();
@@ -226,50 +224,6 @@ fn steady_state_processing_is_allocation_free() {
         "steady-state Q15MatchedFilter correlation allocated {n} times"
     );
 
-    // --- Batched multi-link correlation into reused per-link buffers. ---
-    let signal_b: Vec<f64> = (0..20_000).map(|i| (i as f64 * 0.13).sin()).collect();
-    let links: Vec<&[f64]> = vec![&signal, &signal_b];
-    let mut outs = vec![Vec::new(), Vec::new()];
-    filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    let n = allocations_during(|| {
-        filter
-            .correlate_normalized_batch_into(&links, &mut outs)
-            .unwrap();
-    });
-    assert_eq!(
-        n, 0,
-        "steady-state batched f64 correlation allocated {n} times"
-    );
-    f32_filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    let n = allocations_during(|| {
-        f32_filter
-            .correlate_normalized_batch_into(&links, &mut outs)
-            .unwrap();
-    });
-    assert_eq!(
-        n, 0,
-        "steady-state batched f32 correlation allocated {n} times"
-    );
-    q15_filter
-        .correlate_normalized_batch_into(&links, &mut outs)
-        .unwrap();
-    let n = allocations_during(|| {
-        q15_filter
-            .correlate_normalized_batch_into(&links, &mut outs)
-            .unwrap();
-    });
-    assert_eq!(
-        n, 0,
-        "steady-state batched Q15 correlation allocated {n} times"
-    );
-
     // --- Construction-time allocation budgets. ---
     // Plan/filter construction is allowed to allocate (tables, pooled
     // scratch), but the counts must stay in the same ballpark recorded
@@ -279,15 +233,15 @@ fn steady_state_processing_is_allocation_free() {
     // allocation, repeated table rebuilds) trip the assert while normal
     // library drift does not.
     let n = allocations_during(|| {
-        std::hint::black_box(Radix2Plan::new(2048).unwrap());
+        std::hint::black_box(Radix2Plan::<f64>::new(2048).unwrap());
     });
     assert!(n <= 40, "Radix2Plan::new(2048) allocated {n} times (> 40)");
     let n = allocations_during(|| {
-        std::hint::black_box(F32Radix2Plan::new(2048).unwrap());
+        std::hint::black_box(Radix2Plan::<f32>::new(2048).unwrap());
     });
     assert!(
         n <= 40,
-        "F32Radix2Plan::new(2048) allocated {n} times (> 40)"
+        "Radix2Plan::<f32>::new(2048) allocated {n} times (> 40)"
     );
     let n = allocations_during(|| {
         std::hint::black_box(FixedRadix2Plan::new(2048).unwrap());
@@ -297,13 +251,16 @@ fn steady_state_processing_is_allocation_free() {
         "FixedRadix2Plan::new(2048) allocated {n} times (> 60)"
     );
     let n = allocations_during(|| {
-        std::hint::black_box(MatchedFilter::new(&template).unwrap());
+        std::hint::black_box(MatchedFilter::<f64>::new(&template).unwrap());
     });
     assert!(n <= 80, "MatchedFilter::new allocated {n} times (> 80)");
     let n = allocations_during(|| {
-        std::hint::black_box(F32MatchedFilter::new(&template).unwrap());
+        std::hint::black_box(MatchedFilter::<f32>::new(&template).unwrap());
     });
-    assert!(n <= 80, "F32MatchedFilter::new allocated {n} times (> 80)");
+    assert!(
+        n <= 80,
+        "MatchedFilter::<f32>::new allocated {n} times (> 80)"
+    );
     let n = allocations_during(|| {
         std::hint::black_box(Q15MatchedFilter::new(&template).unwrap());
     });

@@ -2,8 +2,8 @@
 //! Q15 fixed-point paths against the f64 oracle, plus scalar-vs-lane
 //! bitwise equivalence on all three paths.
 //!
-//! Every reduced-precision primitive in `uw_dsp::fixed` and
-//! `uw_dsp::float32` is property-tested here against its double-precision
+//! Every reduced-precision primitive in `uw_dsp::fixed` and the `f32`
+//! instantiations of `uw_dsp::plan` / `uw_dsp::matched` is property-tested here against its double-precision
 //! reference with SNR-style tolerance bounds, and every structure-of-arrays
 //! lane kernel in `uw_dsp::lanes` is pinned bit-for-bit against the scalar
 //! reference transform it replaced. The documented tolerances (asserted
@@ -21,10 +21,9 @@
 //! | f32 radix-2 forward FFT           | SQNR ≥ 100 dB (lengths ≤ 2048)               |
 //! | f32 radix-2 FFT→IFFT round-trip   | SQNR ≥ 95 dB                                 |
 //! | f32 Bluestein forward             | SQNR ≥ 85 dB                                 |
-//! | `F32MatchedFilter` peak location  | within ±1 sample of the f64 peak             |
-//! | `F32MatchedFilter` peak value     | |Δ| ≤ 1e-3 normalised correlation            |
+//! | `MatchedFilter<f32>` peak location| within ±1 sample of the f64 peak             |
+//! | `MatchedFilter<f32>` peak value   | |Δ| ≤ 1e-3 normalised correlation            |
 //! | lane kernels vs scalar reference  | bit-identical (all three paths)              |
-//! | batched vs per-link correlation   | bit-identical (all three paths)              |
 //! | saturation edge cases             | exact (±1.0 inputs never wrap, zeros stay 0) |
 //!
 //! The SQNR bounds hold for signals exercising at least a few percent of
@@ -38,14 +37,13 @@
 //! so any nonzero difference is a bug.
 
 use proptest::prelude::*;
-use uw_dsp::complex::Complex64;
+use uw_dsp::complex::{Complex32, Complex64};
 use uw_dsp::correlation::argmax;
 use uw_dsp::fft::{fft, fft_any};
 use uw_dsp::fixed::{
     ComplexQ15, FixedFftPlan, FixedRadix2Plan, NumericPath, Q15MatchedFilter, Q15, Q15_ONE,
 };
-use uw_dsp::float32::{Complex32, F32FftPlan, F32MatchedFilter, F32Radix2Plan};
-use uw_dsp::plan::Radix2Plan;
+use uw_dsp::plan::{FftPlan, Radix2Plan};
 use uw_dsp::MatchedFilter;
 
 fn quantize(signal: &[Complex64]) -> Vec<ComplexQ15> {
@@ -194,7 +192,7 @@ proptest! {
         for (i, &t) in template.iter().enumerate() {
             signal[offset + i] += gain * t;
         }
-        let f64_filter = MatchedFilter::new(&template).unwrap();
+        let f64_filter = MatchedFilter::<f64>::new(&template).unwrap();
         let q15_filter = Q15MatchedFilter::new(&template).unwrap();
         let reference = f64_filter.correlate_normalized(&signal).unwrap();
         let fixed = q15_filter.correlate_normalized(&signal).unwrap();
@@ -223,7 +221,7 @@ proptest! {
         let signal = tone_signal(n, amp, w1, w2);
         let reference = fft(&signal).unwrap();
         let mut data = to_f32(&signal);
-        let mut plan = F32FftPlan::new(n).unwrap();
+        let mut plan = FftPlan::<f32>::new(n).unwrap();
         plan.process_forward(&mut data).unwrap();
         let snr = sqnr_db(&reference, &from_f32(&data));
         prop_assert!(snr >= 100.0, "n={n} amp={amp:.2}: f32 forward SQNR {snr:.1} dB");
@@ -236,7 +234,7 @@ proptest! {
         let n = 1usize << exp;
         let signal = tone_signal(n, amp, w1, w2);
         let mut data = to_f32(&signal);
-        let mut plan = F32FftPlan::new(n).unwrap();
+        let mut plan = FftPlan::<f32>::new(n).unwrap();
         plan.process_forward(&mut data).unwrap();
         plan.process_inverse(&mut data).unwrap();
         let snr = sqnr_db(&signal, &from_f32(&data));
@@ -251,7 +249,7 @@ proptest! {
         let signal = tone_signal(n, amp, w1, w2);
         let reference = fft_any(&signal).unwrap();
         let mut data = to_f32(&signal);
-        let mut plan = F32FftPlan::new(n).unwrap();
+        let mut plan = FftPlan::<f32>::new(n).unwrap();
         plan.process_forward(&mut data).unwrap();
         let snr = sqnr_db(&reference, &from_f32(&data));
         prop_assert!(snr >= 85.0, "n={n} amp={amp:.2}: f32 Bluestein SQNR {snr:.1} dB");
@@ -276,8 +274,8 @@ proptest! {
         for (i, &t) in template.iter().enumerate() {
             signal[offset + i] += gain * t;
         }
-        let f64_filter = MatchedFilter::new(&template).unwrap();
-        let f32_filter = F32MatchedFilter::new(&template).unwrap();
+        let f64_filter = MatchedFilter::<f64>::new(&template).unwrap();
+        let f32_filter = MatchedFilter::<f32>::new(&template).unwrap();
         let reference = f64_filter.correlate_normalized(&signal).unwrap();
         let single = f32_filter.correlate_normalized(&signal).unwrap();
         prop_assert_eq!(reference.len(), single.len());
@@ -328,7 +326,7 @@ proptest! {
     ) {
         let n = 1usize << exp;
         let signal = to_f32(&tone_signal(n, amp, w1, w2));
-        let plan = F32Radix2Plan::new(n).unwrap();
+        let plan = Radix2Plan::<f32>::new(n).unwrap();
         let mut lane = signal.clone();
         let mut scalar = signal;
         plan.forward(&mut lane).unwrap();
@@ -362,48 +360,6 @@ proptest! {
         let scalar_shifts = plan.inverse_raw_scalar(&mut scalar).unwrap();
         prop_assert_eq!(lane_shifts, scalar_shifts);
         prop_assert_eq!(&lane, &scalar);
-    }
-
-    #[test]
-    fn batched_correlation_is_bit_identical_to_per_link_calls(
-        offset_a in 0usize..1500,
-        offset_b in 0usize..1500,
-        gain in 0.1f64..1.0,
-    ) {
-        let template: Vec<f64> = (0..200).map(|i| ((i as f64) * 0.61).sin()).collect();
-        let make = |offset: usize, phase: f64| -> Vec<f64> {
-            let mut s: Vec<f64> = (0..2600)
-                .map(|i| 0.03 * ((i as f64 * 0.47 + phase).sin()))
-                .collect();
-            for (i, &t) in template.iter().enumerate() {
-                s[offset + i] += gain * t;
-            }
-            s
-        };
-        let link_a = make(offset_a, 0.0);
-        let link_b = make(offset_b, 2.1);
-        let links: Vec<&[f64]> = vec![&link_a, &link_b];
-
-        let f64_filter = MatchedFilter::new(&template).unwrap();
-        let f32_filter = F32MatchedFilter::new(&template).unwrap();
-        let q15_filter = Q15MatchedFilter::new(&template).unwrap();
-        for solo_vs_batch in [
-            (
-                links.iter().map(|l| f64_filter.correlate_normalized(l).unwrap()).collect::<Vec<_>>(),
-                f64_filter.correlate_normalized_batch(&links).unwrap(),
-            ),
-            (
-                links.iter().map(|l| f32_filter.correlate_normalized(l).unwrap()).collect::<Vec<_>>(),
-                f32_filter.correlate_normalized_batch(&links).unwrap(),
-            ),
-            (
-                links.iter().map(|l| q15_filter.correlate_normalized(l).unwrap()).collect::<Vec<_>>(),
-                q15_filter.correlate_normalized_batch(&links).unwrap(),
-            ),
-        ] {
-            let (solo, batch) = solo_vs_batch;
-            prop_assert_eq!(solo, batch);
-        }
     }
 }
 
@@ -441,7 +397,7 @@ fn saturating_arithmetic_edge_cases() {
     let mut signal = template.clone();
     signal.extend(std::iter::repeat_n(0.0, 512));
     let q15 = Q15MatchedFilter::new(&template).unwrap();
-    let f64f = MatchedFilter::new(&template).unwrap();
+    let f64f = MatchedFilter::<f64>::new(&template).unwrap();
     let (qi, qp) = argmax(&q15.correlate_normalized(&signal).unwrap()).unwrap();
     let (fi, fp) = argmax(&f64f.correlate_normalized(&signal).unwrap()).unwrap();
     assert_eq!(qi, 0);
@@ -467,7 +423,7 @@ fn numeric_path_knob_is_exported_through_the_stack() {
 #[test]
 fn normalized_correlation_agrees_on_energetic_windows() {
     let template: Vec<f64> = (0..300).map(|i| ((i as f64) * 0.7).sin()).collect();
-    let f64_filter = MatchedFilter::new(&template).unwrap();
+    let f64_filter = MatchedFilter::<f64>::new(&template).unwrap();
     let q15_filter = Q15MatchedFilter::new(&template).unwrap();
     // Several blocks long, template embedded mid-stream over a uniform
     // noise floor so every window has energy.

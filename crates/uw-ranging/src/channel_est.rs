@@ -15,11 +15,12 @@
 //! deliberately avoided — the paper notes they are both fragile in the
 //! extremely dense underwater channel and too expensive for a phone.
 
-use crate::preamble::RangingPreamble;
+use crate::preamble::{PathDsp, RangingPreamble};
 use crate::{RangingError, Result};
-use uw_dsp::complex::Complex64;
-use uw_dsp::fixed::{ComplexQ15, NumericPath, Q15};
-use uw_dsp::float32::Complex32;
+use uw_dsp::complex::{Complex, Complex64};
+use uw_dsp::fixed::{ComplexQ15, FixedPlanPool, Q15};
+use uw_dsp::plan::PlanPool;
+use uw_dsp::LaneFloat;
 
 /// A channel estimate derived from one received preamble.
 #[derive(Debug, Clone)]
@@ -58,23 +59,39 @@ pub fn ls_channel_estimate(
         });
     }
 
-    match preamble.numeric_path() {
-        NumericPath::Q15 => return ls_channel_estimate_q15(stream, preamble, start),
-        NumericPath::F32 => return ls_channel_estimate_f32(stream, preamble, start),
-        NumericPath::F64 => {}
+    match preamble.dsp() {
+        PathDsp::F64(d) => ls_channel_estimate_float(stream, preamble, start, &d.symbol_plans),
+        PathDsp::F32(d) => ls_channel_estimate_float(stream, preamble, start, &d.symbol_plans),
+        PathDsp::Q15 { symbol_plans, .. } => {
+            ls_channel_estimate_q15(stream, preamble, start, symbol_plans)
+        }
     }
+}
 
+/// The float variant of [`ls_channel_estimate`], generic over the lane
+/// float `T` of the preamble's symbol plans. All five transforms (4 symbol
+/// FFTs + 1 inverse) run through the preamble's pooled symbol-length plan:
+/// the Bluestein chirp state for the 1920-point transform is built once
+/// per preamble, and one scratch buffer is reused across the symbols.
+/// Symbols are cast to `T` once at the load boundary; bin equalisation
+/// multiplies by the conjugate ZC value (the exact inverse, since
+/// `|X(k)| = 1`), rounded to `T` once per bin; the accumulation across
+/// symbols is widened to f64 so four symbols' worth of rounding does not
+/// stack.
+fn ls_channel_estimate_float<T: LaneFloat>(
+    stream: &[f64],
+    preamble: &RangingPreamble,
+    start: usize,
+    plans: &PlanPool<T>,
+) -> Result<ChannelEstimate> {
     let n_fft = preamble.config.fft_len();
     let bins = preamble.config.occupied_bins();
     let n_bins = preamble.base_bins.len();
+    let block = preamble.block_len();
+    let n_symbols = preamble.pn_signs.len();
 
-    // All five transforms (4 symbol FFTs + 1 inverse) run through the
-    // preamble's pooled symbol-length plan: the Bluestein chirp state for
-    // the 1920-point transform is built once per preamble, and one scratch
-    // buffer is reused across the symbols.
-    preamble.with_symbol_plan(|plan| {
-        let mut buf = vec![Complex64::ZERO; n_fft];
-
+    plans.with(|plan| -> Result<ChannelEstimate> {
+        let mut buf = vec![Complex::<T>::ZERO; n_fft];
         // Accumulate Y_i(k) / (PN_i · X(k)) over the symbols.
         let mut acc = vec![Complex64::ZERO; n_bins];
         for (i, &sign) in preamble.pn_signs.iter().enumerate() {
@@ -83,17 +100,15 @@ pub fn ls_channel_estimate(
                 .iter_mut()
                 .zip(stream[sym_start..sym_start + preamble.config.symbol_len].iter())
             {
-                *b = Complex64::from_re(s);
+                *b = Complex::from_re(T::from_f64(s));
             }
             for b in buf[preamble.config.symbol_len.min(n_fft)..].iter_mut() {
-                *b = Complex64::ZERO;
+                *b = Complex::ZERO;
             }
             plan.process_forward(&mut buf)?;
             for (j, k) in bins.clone().enumerate() {
-                let x = preamble.base_bins[j] * sign;
-                // X(k) is a unit-magnitude ZC value, so dividing is stable.
-                let inv = x.inv().unwrap_or(Complex64::ZERO);
-                acc[j] += buf[k] * inv;
+                let x_inv = Complex::from_complex64((preamble.base_bins[j] * sign).conj());
+                acc[j] += (buf[k] * x_inv).to_complex64();
             }
         }
         let freq_response: Vec<Complex64> = acc.into_iter().map(|c| c / n_symbols as f64).collect();
@@ -101,24 +116,24 @@ pub fn ls_channel_estimate(
         // Time-domain impulse response: place Ĥ on the occupied bins of a
         // full conjugate-symmetric spectrum and inverse-FFT.
         for b in buf.iter_mut() {
-            *b = Complex64::ZERO;
+            *b = Complex::ZERO;
         }
         for (j, k) in bins.clone().enumerate() {
-            buf[k] = freq_response[j];
-            buf[n_fft - k] = freq_response[j].conj();
+            buf[k] = Complex::from_complex64(freq_response[j]);
+            buf[n_fft - k] = Complex::from_complex64(freq_response[j].conj());
         }
         plan.process_inverse(&mut buf)?;
         let impulse_magnitude: Vec<f64> = buf
             .iter()
             .take(preamble.config.symbol_len)
-            .map(|c| c.abs())
+            .map(|c| c.abs().to_f64())
             .collect();
 
         Ok(ChannelEstimate {
             freq_response,
             impulse_magnitude,
         })
-    })?
+    })
 }
 
 /// The fixed-point variant of [`ls_channel_estimate`]: every symbol FFT and
@@ -132,6 +147,7 @@ fn ls_channel_estimate_q15(
     stream: &[f64],
     preamble: &RangingPreamble,
     start: usize,
+    plans: &FixedPlanPool,
 ) -> Result<ChannelEstimate> {
     let n_fft = preamble.config.fft_len();
     let bins = preamble.config.occupied_bins();
@@ -139,7 +155,7 @@ fn ls_channel_estimate_q15(
     let block = preamble.block_len();
     let n_symbols = preamble.pn_signs.len();
 
-    preamble.with_fixed_symbol_plan(|plan| -> Result<ChannelEstimate> {
+    plans.with(|plan| -> Result<ChannelEstimate> {
         let mut buf = vec![ComplexQ15::ZERO; n_fft];
         let mut acc = vec![Complex64::ZERO; n_bins];
         for (i, &sign) in preamble.pn_signs.iter().enumerate() {
@@ -193,71 +209,7 @@ fn ls_channel_estimate_q15(
             freq_response,
             impulse_magnitude,
         })
-    })?
-}
-
-/// The single-precision variant of [`ls_channel_estimate`]: every symbol
-/// FFT and the impulse-response inverse FFT run on the f32 plan through the
-/// `[f32; 8]` lane kernels. Symbols are cast to f32 once at the load
-/// boundary; bin equalisation multiplies by the conjugate ZC value (the
-/// exact inverse, since `|X(k)| = 1`); the accumulation across symbols is
-/// widened to f64 so four symbols' worth of rounding does not stack.
-fn ls_channel_estimate_f32(
-    stream: &[f64],
-    preamble: &RangingPreamble,
-    start: usize,
-) -> Result<ChannelEstimate> {
-    let n_fft = preamble.config.fft_len();
-    let bins = preamble.config.occupied_bins();
-    let n_bins = preamble.base_bins.len();
-    let block = preamble.block_len();
-    let n_symbols = preamble.pn_signs.len();
-
-    preamble.with_f32_symbol_plan(|plan| -> Result<ChannelEstimate> {
-        let mut buf = vec![Complex32::ZERO; n_fft];
-        let mut acc = vec![Complex64::ZERO; n_bins];
-        for (i, &sign) in preamble.pn_signs.iter().enumerate() {
-            let sym_start = start + i * block + preamble.config.cyclic_prefix;
-            for (b, &s) in buf
-                .iter_mut()
-                .zip(stream[sym_start..sym_start + preamble.config.symbol_len].iter())
-            {
-                *b = Complex32::from_re(s as f32);
-            }
-            for b in buf[preamble.config.symbol_len.min(n_fft)..].iter_mut() {
-                *b = Complex32::ZERO;
-            }
-            plan.process_forward(&mut buf)?;
-            for (j, k) in bins.clone().enumerate() {
-                // X(k) is a unit-magnitude ZC value: its exact inverse is
-                // the conjugate, rounded to f32 once per bin.
-                let x_inv = Complex32::from_complex64((preamble.base_bins[j] * sign).conj());
-                acc[j] += (buf[k] * x_inv).to_complex64();
-            }
-        }
-        let freq_response: Vec<Complex64> = acc.into_iter().map(|c| c / n_symbols as f64).collect();
-
-        // Time-domain impulse response: conjugate-symmetric spectrum,
-        // inverse FFT on the f32 plan.
-        for b in buf.iter_mut() {
-            *b = Complex32::ZERO;
-        }
-        for (j, k) in bins.clone().enumerate() {
-            buf[k] = Complex32::from_complex64(freq_response[j]);
-            buf[n_fft - k] = Complex32::from_complex64(freq_response[j].conj());
-        }
-        plan.process_inverse(&mut buf)?;
-        let impulse_magnitude: Vec<f64> = buf
-            .iter()
-            .take(preamble.config.symbol_len)
-            .map(|c| c.abs() as f64)
-            .collect();
-
-        Ok(ChannelEstimate {
-            freq_response,
-            impulse_magnitude,
-        })
-    })?
+    })
 }
 
 #[cfg(test)]
@@ -371,8 +323,6 @@ mod tests {
         let tail: f64 =
             nq[nq.len() - NOISE_TAIL_TAPS..].iter().sum::<f64>() / NOISE_TAIL_TAPS as f64;
         assert!(tail < 0.1, "q15 tail mean {tail}");
-        // The f64 preamble has no fixed-point plans.
-        assert!(p.with_fixed_symbol_plan(|_| ()).is_err());
     }
 
     #[test]
@@ -389,10 +339,6 @@ mod tests {
         for (i, (a, b)) in nf.iter().zip(ns.iter()).enumerate() {
             assert!((a - b).abs() < 1e-3, "tap {i}: f64 {a} vs f32 {b}");
         }
-        // The f64 preamble has no f32 plans and vice versa.
-        assert!(p.with_f32_symbol_plan(|_| ()).is_err());
-        assert!(f.with_symbol_plan(|_| ()).is_err());
-        assert!(f.with_fixed_symbol_plan(|_| ()).is_err());
     }
 
     #[test]

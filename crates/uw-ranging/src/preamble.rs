@@ -5,29 +5,54 @@
 //! LS channel estimation, PN signs, block boundaries), so they are computed
 //! once per configuration instead of per packet.
 //!
-//! The preamble also owns the receive-side *execution state*: a
-//! [`MatchedFilter`] whose template spectrum is computed once and reused by
-//! every detection, and a [`PlanPool`] of symbol-length FFT plans shared by
-//! the LS channel estimator. Both are internally pooled, so one
-//! `RangingPreamble` can serve many concurrent ranging exchanges without
-//! serialising their transforms.
-//!
-//! A preamble built with [`RangingPreamble::new_with_path`] and
-//! [`NumericPath::Q15`] additionally owns the fixed-point execution state
-//! (a [`Q15MatchedFilter`] and a pool of symbol-length
-//! [`uw_dsp::FixedFftPlan`]s) and routes detection correlation and channel
-//! estimation through the on-device Q15 path instead of the `f64` oracle.
-//! With [`NumericPath::F32`] it owns the single-precision state
-//! ([`F32MatchedFilter`], [`uw_dsp::F32FftPlan`] pool) instead — exactly
-//! one path's execution state exists per preamble.
+//! The preamble also owns the receive-side *execution state* of exactly one
+//! [`NumericPath`]: a matched filter whose template spectrum is computed
+//! once and reused by every detection, and a pool of symbol-length FFT
+//! plans shared by the LS channel estimator. On the float paths these are
+//! the `f64` or `f32` instantiations of [`MatchedFilter`] and [`PlanPool`];
+//! on [`NumericPath::Q15`] they are a [`Q15MatchedFilter`] and a
+//! [`FixedPlanPool`]. Both are internally pooled, so one `RangingPreamble`
+//! can serve many concurrent ranging exchanges without serialising their
+//! transforms.
 
-use crate::{RangingError, Result};
+use crate::Result;
 use uw_dsp::complex::Complex64;
-use uw_dsp::fixed::{FixedFftPlan, FixedPlanPool, NumericPath, Q15MatchedFilter};
-use uw_dsp::float32::{F32FftPlan, F32MatchedFilter, F32PlanPool};
+use uw_dsp::fixed::{FixedPlanPool, NumericPath, Q15MatchedFilter};
 use uw_dsp::ofdm::{base_symbol_spectrum, build_preamble, OfdmConfig};
-use uw_dsp::plan::{FftPlan, PlanPool};
-use uw_dsp::MatchedFilter;
+use uw_dsp::plan::PlanPool;
+use uw_dsp::{LaneFloat, MatchedFilter};
+
+/// The receive-side DSP state of one numeric path.
+#[derive(Debug, Clone)]
+pub(crate) enum PathDsp {
+    /// Double-precision oracle path.
+    F64(FloatDsp<f64>),
+    /// Single-precision phone-float path.
+    F32(FloatDsp<f32>),
+    /// Q15 fixed-point path.
+    Q15 {
+        filter: Q15MatchedFilter,
+        symbol_plans: FixedPlanPool,
+    },
+}
+
+/// The receive-side DSP state of one float path.
+#[derive(Debug, Clone)]
+pub(crate) struct FloatDsp<T: LaneFloat> {
+    /// Overlap-save correlator with the waveform's spectrum precomputed.
+    pub(crate) filter: MatchedFilter<T>,
+    /// Pooled FFT plans for the symbol length (Bluestein for 1920).
+    pub(crate) symbol_plans: PlanPool<T>,
+}
+
+impl<T: LaneFloat> FloatDsp<T> {
+    fn new(waveform: &[f64], fft_len: usize) -> Result<Self> {
+        Ok(Self {
+            filter: MatchedFilter::new(waveform)?,
+            symbol_plans: PlanPool::new(fft_len)?,
+        })
+    }
+}
 
 /// A fully-built ranging preamble.
 #[derive(Debug, Clone)]
@@ -44,25 +69,9 @@ pub struct RangingPreamble {
     pub first_bin: usize,
     /// PN signs of the preamble symbols.
     pub pn_signs: Vec<f64>,
-    /// Overlap-save correlator with the waveform's spectrum precomputed
-    /// (present on the f64 path only — exactly one of `filter` /
-    /// `q15_filter` exists per preamble).
-    filter: Option<MatchedFilter>,
-    /// Pooled FFT plans for the symbol length (Bluestein for 1920;
-    /// present on the f64 path only).
-    symbol_plans: Option<PlanPool>,
-    /// Which numeric implementation receive-side processing runs on.
-    numeric_path: NumericPath,
-    /// Q15 overlap-save correlator (present on the Q15 path only).
-    q15_filter: Option<Q15MatchedFilter>,
-    /// Pooled fixed-point symbol-length plans (present on the Q15 path
-    /// only).
-    fixed_symbol_plans: Option<FixedPlanPool>,
-    /// f32 overlap-save correlator (present on the F32 path only).
-    f32_filter: Option<F32MatchedFilter>,
-    /// Pooled single-precision symbol-length plans (present on the F32
-    /// path only).
-    f32_symbol_plans: Option<F32PlanPool>,
+    /// Receive-side execution state of the path this preamble was built
+    /// for.
+    dsp: PathDsp,
 }
 
 impl RangingPreamble {
@@ -72,8 +81,9 @@ impl RangingPreamble {
     }
 
     /// Builds the preamble for a configuration on the chosen numeric path.
-    /// With [`NumericPath::Q15`], detection correlation and channel
-    /// estimation run on the fixed-point DSP in [`uw_dsp::fixed`].
+    /// Detection correlation and channel estimation run on that path's DSP:
+    /// the `f64` or `f32` plan layer, or the fixed-point DSP in
+    /// [`uw_dsp::fixed`] for [`NumericPath::Q15`].
     pub fn new_with_path(config: OfdmConfig, numeric_path: NumericPath) -> Result<Self> {
         let spectrum = base_symbol_spectrum(&config)?;
         let mut waveform = build_preamble(&config)?;
@@ -87,48 +97,23 @@ impl RangingPreamble {
             *s *= 0.5 * (1.0 - (std::f64::consts::PI * i as f64 / ramp as f64).cos());
         }
         let pn_signs = config.pn_signs();
-        // Exactly one path's execution state is built: a Q15 preamble
-        // carries no (unused) f64 filter or plans and vice versa.
-        let (filter, symbol_plans, q15_filter, fixed_symbol_plans, f32_filter, f32_symbol_plans) =
-            match numeric_path {
-                NumericPath::F64 => (
-                    Some(MatchedFilter::new(&waveform)?),
-                    Some(PlanPool::new(config.fft_len())?),
-                    None,
-                    None,
-                    None,
-                    None,
-                ),
-                NumericPath::Q15 => (
-                    None,
-                    None,
-                    Some(Q15MatchedFilter::new(&waveform)?),
-                    Some(FixedPlanPool::new(config.fft_len())?),
-                    None,
-                    None,
-                ),
-                NumericPath::F32 => (
-                    None,
-                    None,
-                    None,
-                    None,
-                    Some(F32MatchedFilter::new(&waveform)?),
-                    Some(F32PlanPool::new(config.fft_len())?),
-                ),
-            };
+        // Exactly one path's execution state is built.
+        let fft_len = config.fft_len();
+        let dsp = match numeric_path {
+            NumericPath::F64 => PathDsp::F64(FloatDsp::new(&waveform, fft_len)?),
+            NumericPath::F32 => PathDsp::F32(FloatDsp::new(&waveform, fft_len)?),
+            NumericPath::Q15 => PathDsp::Q15 {
+                filter: Q15MatchedFilter::new(&waveform)?,
+                symbol_plans: FixedPlanPool::new(fft_len)?,
+            },
+        };
         Ok(Self {
             config,
             waveform,
             base_bins: spectrum.bins,
             first_bin: spectrum.first_bin,
             pn_signs,
-            filter,
-            symbol_plans,
-            numeric_path,
-            q15_filter,
-            fixed_symbol_plans,
-            f32_filter,
-            f32_symbol_plans,
+            dsp,
         })
     }
 
@@ -151,7 +136,16 @@ impl RangingPreamble {
 
     /// The numeric path receive-side processing runs on.
     pub fn numeric_path(&self) -> NumericPath {
-        self.numeric_path
+        match self.dsp {
+            PathDsp::F64(_) => NumericPath::F64,
+            PathDsp::F32(_) => NumericPath::F32,
+            PathDsp::Q15 { .. } => NumericPath::Q15,
+        }
+    }
+
+    /// The receive-side execution state (filter and symbol plans).
+    pub(crate) fn dsp(&self) -> &PathDsp {
+        &self.dsp
     }
 
     /// Length of one symbol block (cyclic prefix + symbol) in samples.
@@ -181,90 +175,28 @@ impl RangingPreamble {
         i * self.block_len() + self.config.cyclic_prefix
     }
 
-    /// The precomputed f64 overlap-save correlator, when this preamble was
-    /// built for the f64 path (`None` on a Q15 preamble, which owns a
-    /// `Q15MatchedFilter` instead).
-    pub fn matched_filter(&self) -> Option<&MatchedFilter> {
-        self.filter.as_ref()
-    }
-
     /// Normalised cross-correlation of `stream` against the preamble
-    /// waveform through the precomputed matched filter (identical output to
+    /// waveform through the precomputed matched filter (the definition of
     /// `uw_dsp::correlation::xcorr_normalized`, computed in streaming
-    /// blocks against the cached template spectrum). On a
-    /// [`NumericPath::Q15`] preamble this runs the fixed-point correlator;
-    /// its peak positions agree with the `f64` path to within ±1 sample
-    /// (bounded by `uw-dsp`'s differential test suite).
+    /// blocks against the cached template spectrum) on this preamble's
+    /// numeric path. The reduced-precision paths' peak positions agree with
+    /// the `f64` path to within ±1 sample (bounded by `uw-dsp`'s
+    /// differential test suite).
     pub fn correlate_normalized(&self, stream: &[f64]) -> Result<Vec<f64>> {
-        match (&self.q15_filter, &self.f32_filter, &self.filter) {
-            (Some(q15), _, _) => Ok(q15.correlate_normalized(stream)?),
-            (None, Some(f32f), _) => Ok(f32f.correlate_normalized(stream)?),
-            (None, None, Some(f)) => Ok(f.correlate_normalized(stream)?),
-            (None, None, None) => unreachable!("one numeric path's filter always exists"),
-        }
+        let mut out = Vec::new();
+        self.correlate_normalized_into(stream, &mut out)?;
+        Ok(out)
     }
 
     /// As [`Self::correlate_normalized`] but reusing a caller-provided
     /// output buffer (allocation-free in steady state).
     pub fn correlate_normalized_into(&self, stream: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        match (&self.q15_filter, &self.f32_filter, &self.filter) {
-            (Some(q15), _, _) => Ok(q15.correlate_normalized_into(stream, out)?),
-            (None, Some(f32f), _) => Ok(f32f.correlate_normalized_into(stream, out)?),
-            (None, None, Some(f)) => Ok(f.correlate_normalized_into(stream, out)?),
-            (None, None, None) => unreachable!("one numeric path's filter always exists"),
+        match &self.dsp {
+            PathDsp::F64(d) => d.filter.correlate_normalized_into(stream, out)?,
+            PathDsp::F32(d) => d.filter.correlate_normalized_into(stream, out)?,
+            PathDsp::Q15 { filter, .. } => filter.correlate_normalized_into(stream, out)?,
         }
-    }
-
-    /// Batched normalised correlation of N links' streams through one
-    /// filter checkout on whichever numeric path this preamble was built
-    /// for (see `uw_dsp::MatchedFilter::correlate_normalized_batch`). Each
-    /// output is identical to the per-link [`Self::correlate_normalized`]
-    /// call. This is the entry point serving-shard workers batch through.
-    pub fn correlate_normalized_batch(&self, streams: &[&[f64]]) -> Result<Vec<Vec<f64>>> {
-        match (&self.q15_filter, &self.f32_filter, &self.filter) {
-            (Some(q15), _, _) => Ok(q15.correlate_normalized_batch(streams)?),
-            (None, Some(f32f), _) => Ok(f32f.correlate_normalized_batch(streams)?),
-            (None, None, Some(f)) => Ok(f.correlate_normalized_batch(streams)?),
-            (None, None, None) => unreachable!("one numeric path's filter always exists"),
-        }
-    }
-
-    /// Runs `f` with a checked-out symbol-length FFT plan (1920-point
-    /// Bluestein for the paper's parameters). Concurrent callers receive
-    /// distinct plans from the pool instead of serialising. Fails on a
-    /// preamble built for the Q15 path, which carries no f64 plans — use
-    /// [`Self::with_fixed_symbol_plan`] there.
-    pub fn with_symbol_plan<R>(&self, f: impl FnOnce(&mut FftPlan) -> R) -> Result<R> {
-        match &self.symbol_plans {
-            Some(pool) => Ok(pool.with(f)),
-            None => Err(RangingError::InvalidInput {
-                reason: "preamble was built for the Q15 path; no f64 plans exist".into(),
-            }),
-        }
-    }
-
-    /// Runs `f` with a checked-out **fixed-point** symbol-length FFT plan.
-    /// Fails on a preamble built for the `f64` path, which carries no
-    /// fixed-point state.
-    pub fn with_fixed_symbol_plan<R>(&self, f: impl FnOnce(&mut FixedFftPlan) -> R) -> Result<R> {
-        match &self.fixed_symbol_plans {
-            Some(pool) => Ok(pool.with(f)),
-            None => Err(RangingError::InvalidInput {
-                reason: "preamble was built for the f64 path; no fixed-point plans exist".into(),
-            }),
-        }
-    }
-
-    /// Runs `f` with a checked-out **single-precision** symbol-length FFT
-    /// plan. Fails on a preamble built for another path, which carries no
-    /// f32 state.
-    pub fn with_f32_symbol_plan<R>(&self, f: impl FnOnce(&mut F32FftPlan) -> R) -> Result<R> {
-        match &self.f32_symbol_plans {
-            Some(pool) => Ok(pool.with(f)),
-            None => Err(RangingError::InvalidInput {
-                reason: "preamble was not built for the f32 path; no f32 plans exist".into(),
-            }),
-        }
+        Ok(())
     }
 }
 
